@@ -24,7 +24,7 @@ from . import invariants as _inv
 from . import orbit as _orbit
 from .errors import QinvError, TooLargeError, UnnormalizedError
 from .invariants import InvariantReport
-from .state import PureState, new_state
+from .state import MAX_QUBITS, PureState, new_state
 
 DEFAULT_LU_TOL = 1e-9
 DEFAULT_SL_TOL = 1e-7
@@ -78,8 +78,8 @@ def load_state(path: str, normalize: bool = False) -> PureState:
     n = data["n_qubits"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise StateFileError(f"{path}: 'n_qubits' must be a positive integer, got {n!r}")
-    if n > 24:
-        raise StateFileError(f"{path}: n_qubits={n} exceeds the maximum of 24")
+    if n > MAX_QUBITS:
+        raise StateFileError(f"{path}: n_qubits={n} exceeds the maximum of {MAX_QUBITS}")
     if "amplitudes" not in data:
         raise StateFileError(f"{path}: missing required field 'amplitudes'")
     raw = data["amplitudes"]
@@ -138,15 +138,31 @@ def print_report_text(report: InvariantReport) -> None:
         print(f"{name:<12} {entry.kind:<8} {_entry_text(entry)}")
 
 
+def _at_least(low: int):
+    """argparse ``type=``: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+_seed = _at_least(0)
+
+
 def _resolve_seed(args: argparse.Namespace) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            return int(env)
-        except ValueError as exc:
-            raise StateFileError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
+            return _seed(env)
+        except argparse.ArgumentTypeError as exc:
+            raise StateFileError(f"{SEED_ENV_VAR}={env!r}: {exc}") from exc
     return 0
 
 
@@ -288,10 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify invariance on random orbits")
     add_state_arg(p_verify)
     p_verify.add_argument("--group", choices=("lu", "sl"), default="lu")
-    p_verify.add_argument("--samples", type=int, default=100)
+    p_verify.add_argument("--samples", type=_at_least(1), default=100)
     p_verify.add_argument("--tol", type=float, default=None,
                           help="pass tolerance (default 1e-9 for lu, 1e-7 for sl)")
-    p_verify.add_argument("--seed", type=int, default=None,
+    p_verify.add_argument("--seed", type=_seed, default=None,
                           help=f"sampling seed (default ${SEED_ENV_VAR} or 0)")
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
     p_verify.set_defaults(func=cmd_verify)
@@ -306,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_random = sub.add_parser("random", help="write a reproducible random state file")
     p_random.add_argument("n", type=int, help="number of qubits (1..24)")
-    p_random.add_argument("--seed", type=int, default=None,
+    p_random.add_argument("--seed", type=_seed, default=None,
                           help=f"sampling seed (default ${SEED_ENV_VAR} or 0)")
     p_random.add_argument("--out", "-o", default=None,
                           help="output path (stdout when omitted)")

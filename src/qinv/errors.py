@@ -17,6 +17,10 @@ class TooLargeError(QinvError, ValueError):
     """Qubit count exceeds the supported maximum."""
 
 
+class NonFiniteError(QinvError, ValueError):
+    """Amplitude vector has NaN or infinite entries (or its squared norm overflows)."""
+
+
 class UnnormalizedError(QinvError, ValueError):
     """Operation requires a normalized state."""
 

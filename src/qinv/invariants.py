@@ -13,7 +13,6 @@ from . import pauli as _p
 from . import state as _s
 from .errors import (
     EvenQubitCountError,
-    HermitianViolationError,
     IndexOutOfRangeError,
     InternalDisagreementError,
     OddQubitCountError,
@@ -28,9 +27,6 @@ AXES = "XYZ"
 INTERNAL_TOL = 1e-10
 # Quartic polynomials lose roughly one digit relative to the quadratic forms.
 TANGLE_TOL = 1e-9
-
-# Above this size the fused fingerprint would hold 3n full state vectors.
-_FUSED_FINGERPRINT_MAX_QUBITS = 16
 
 
 @dataclass(frozen=True)
@@ -325,56 +321,37 @@ def three_qubit_suite(state: PureState) -> InvariantReport:
     )
 
 
-def first_kind_fingerprint(state: PureState) -> tuple[np.ndarray, np.ndarray]:
-    """All one-point and two-point Pauli expectations in one pass.
+# Transposed, flattened sigma_a and sigma_a (x) sigma_b: a product with a
+# flattened rho gives tr(rho sigma_a), resp. tr(rho sigma_a (x) sigma_b).
+_ONE_POINT_ROWS = _p._SIGMAS.transpose(0, 2, 1).reshape(3, 4)
+_TWO_POINT_ROWS = np.array([[np.kron(a, b).T.ravel() for b in _p._SIGMAS]
+                            for a in _p._SIGMAS])
 
-    Returns ``(singles, pairs)`` where ``singles[i-1, a]`` is <sigma_{i,a}>
-    and ``pairs[i-1, j-1]`` (i < j only; other blocks are NaN) is the 3x3
-    block of <sigma_{i,a} sigma_{j,b}>. This is the batch route behind
-    ``invariant_report``; the per-operation functions above stay as the
-    simple reference path.
+
+def first_kind_fingerprint(state: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """All one-point and two-point Pauli expectations, read off reduced states.
+
+    Returns ``(singles, pairs)`` where ``singles[i-1, a]`` is <sigma_{i,a}> =
+    tr(rho_i sigma_a) and ``pairs[i-1, j-1]`` (i < j only; other blocks are
+    NaN) is the 3x3 block <sigma_{i,a} sigma_{j,b}> = tr(rho_ij sigma_a (x)
+    sigma_b). There is one route at every n: each rho comes from the same
+    reduction as ``partial_trace``, which holds at most one extra copy of the
+    state at a time. This is the batch route behind ``invariant_report``; the
+    per-operation functions above stay as the independent reference path.
     """
     _check_normalized(state)
     n = state.n_qubits
     psi = state.amplitudes
-    sigmas = (_p.PAULI_X, _p.PAULI_Y, _p.PAULI_Z)
     singles = np.empty((n, 3), dtype=np.float64)
     pairs = np.full((n, n, 3, 3), np.nan, dtype=np.float64)
-
-    def check_block(block: np.ndarray, i: int, j: int) -> np.ndarray:
-        if np.max(np.abs(block.imag)) > _p.HERMITIAN_RESIDUE_TOL:
-            raise HermitianViolationError(
-                f"two-point block ({i}, {j}) has imaginary residue "
-                f"{np.max(np.abs(block.imag))!r}"
-            )
-        return block.real
-
-    if n <= _FUSED_FINGERPRINT_MAX_QUBITS:
-        flat = np.empty((3 * n, psi.size), dtype=np.complex128)
-        for q in range(1, n + 1):
-            for a, sigma in enumerate(sigmas):
-                flat[3 * (q - 1) + a] = _p._apply_2x2(psi, n, q, sigma)
-        ones = flat @ psi.conj()
-        if np.max(np.abs(ones.imag)) > _p.HERMITIAN_RESIDUE_TOL:
-            raise HermitianViolationError("one-point expectations not real")
-        singles[:] = ones.real.reshape(n, 3)
-        gram = flat.conj() @ flat.T
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                block = gram[3 * (i - 1):3 * i, 3 * (j - 1):3 * j]
-                pairs[i - 1, j - 1] = check_block(block, i, j)
-        return singles, pairs
-
-    # Large states: stream one qubit's sigma-applied vectors at a time.
+    tol = _p.HERMITIAN_RESIDUE_TOL
     for i in range(1, n + 1):
-        vi = np.stack([_p._apply_2x2(psi, n, i, s) for s in sigmas])
-        ones = vi @ psi.conj()
-        if np.max(np.abs(ones.imag)) > _p.HERMITIAN_RESIDUE_TOL:
-            raise HermitianViolationError("one-point expectations not real")
-        singles[i - 1] = ones.real
+        t = _ONE_POINT_ROWS @ _s._reduced(psi, n, (i,)).ravel()
+        singles[i - 1] = _s._real(t, f"one-point expectations of qubit {i}", tol)
+    for i in range(1, n):
         for j in range(i + 1, n + 1):
-            vj = np.stack([_p._apply_2x2(psi, n, j, s) for s in sigmas])
-            pairs[i - 1, j - 1] = check_block(vi.conj() @ vj.T, i, j)
+            t = _TWO_POINT_ROWS @ _s._reduced(psi, n, (i, j)).ravel()
+            pairs[i - 1, j - 1] = _s._real(t, f"two-point block ({i}, {j})", tol)
     return singles, pairs
 
 

@@ -167,9 +167,7 @@ def apply_local(state: PureState, g: LocalOperator) -> tuple[PureState, float]:
     n = state.n_qubits
     if len(g) != n:
         raise LengthMismatchError(f"operator has {len(g)} factors, state has {n} qubits")
-    amps = state.amplitudes
-    for qubit, op in enumerate(g.ops, start=1):
-        amps = _p._apply_2x2(amps, n, qubit, op)
+    amps = _p._apply_factors(state.amplitudes, n, g.ops)
     raw_norm = float(np.linalg.norm(amps))
     if g.kind == LU_KIND:
         return PureState(n, amps), raw_norm

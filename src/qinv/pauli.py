@@ -14,10 +14,11 @@ import numpy as np
 from .errors import (
     HermitianViolationError,
     IndexOutOfRangeError,
+    InternalDisagreementError,
     LengthMismatchError,
     NotUnitaryError,
 )
-from .state import PureState
+from .state import PureState, _real
 
 PAULI_I = np.array([[1, 0], [0, 1]], dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -26,7 +27,9 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 # Spin flip T = i*sigma_y = [[0, 1], [-1, 0]]; T|0> = -|1>, T|1> = |0>.
 SPIN_FLIP = 1j * PAULI_Y
 
-for _m in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, SPIN_FLIP):
+_SIGMAS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+
+for _m in (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, SPIN_FLIP, _SIGMAS):
     _m.setflags(write=False)
 
 PAULI_BY_LETTER = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
@@ -78,6 +81,14 @@ def _apply_2x2(amps: np.ndarray, n: int, qubit: int, op: np.ndarray) -> np.ndarr
     return np.einsum("ab,lbr->lar", op, psi).reshape(-1)
 
 
+def _apply_factors(amps: np.ndarray, n: int, ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Apply one already-validated 2x2 factor per qubit, skipping ``PAULI_I``."""
+    for qubit, op in enumerate(ops, start=1):
+        if op is not PAULI_I:
+            amps = _apply_2x2(amps, n, qubit, op)
+    return amps
+
+
 def _wrap(n: int, amps: np.ndarray) -> PureState:
     nsq = float(np.vdot(amps, amps).real)
     return PureState(n, amps, is_normalized=abs(nsq - 1.0) <= 1e-10)
@@ -98,12 +109,7 @@ def apply_string(state: PureState, ops: Sequence[np.ndarray]) -> PureState:
     n = state.n_qubits
     if len(ops) != n:
         raise LengthMismatchError(f"expected {n} operators, got {len(ops)}")
-    amps = state.amplitudes
-    for qubit, op in enumerate(ops, start=1):
-        if op is PAULI_I:
-            continue
-        amps = _apply_2x2(amps, n, qubit, _as_2x2(op))
-    return _wrap(n, amps)
+    return _wrap(n, _apply_factors(state.amplitudes, n, [_as_2x2(op) for op in ops]))
 
 
 def expectation(state: PureState, pauli: PauliString | str) -> float:
@@ -118,11 +124,7 @@ def expectation(state: PureState, pauli: PauliString | str) -> float:
         raise LengthMismatchError(
             f"Pauli string has length {len(p)}, state has {n} qubits"
         )
-    amps = state.amplitudes
-    for qubit, letter in enumerate(p.letters, start=1):
-        if letter == "I":
-            continue
-        amps = _apply_2x2(amps, n, qubit, PAULI_BY_LETTER[letter])
+    amps = _apply_factors(state.amplitudes, n, [PAULI_BY_LETTER[c] for c in p.letters])
     val = np.vdot(state.amplitudes, amps)
     if abs(val.imag) > HERMITIAN_RESIDUE_TOL:
         raise HermitianViolationError(
@@ -141,11 +143,7 @@ def bilinear(state: PureState, ops: Sequence[np.ndarray]) -> complex:
     n = state.n_qubits
     if len(ops) != n:
         raise LengthMismatchError(f"expected {n} operators, got {len(ops)}")
-    amps = state.amplitudes.conj()
-    for qubit, op in enumerate(ops, start=1):
-        if op is PAULI_I:
-            continue
-        amps = _apply_2x2(amps, n, qubit, _as_2x2(op))
+    amps = _apply_factors(state.amplitudes.conj(), n, [_as_2x2(op) for op in ops])
     return complex(np.vdot(state.amplitudes, amps))
 
 
@@ -160,15 +158,15 @@ def adjoint_rotation(u: np.ndarray) -> np.ndarray:
     m = _as_2x2(u)
     if np.max(np.abs(m.conj().T @ m - PAULI_I)) > UNITARY_TOL:
         raise NotUnitaryError("matrix is not unitary within 1e-10")
-    sigmas = (PAULI_X, PAULI_Y, PAULI_Z)
-    out = np.empty((3, 3), dtype=np.float64)
-    for i, si in enumerate(sigmas):
-        conj_si = m.conj().T @ si @ m
-        for j, sj in enumerate(sigmas):
-            c = 0.5 * np.einsum("ij,ji->", conj_si, sj)
-            assert abs(c.imag) < HERMITIAN_RESIDUE_TOL
-            out[i, j] = c.real
+    adj = m.conj().T @ _SIGMAS @ m
+    out = _real(0.5 * np.einsum("xij,yji->xy", adj, _SIGMAS), "rotation",
+                HERMITIAN_RESIDUE_TOL)
     # Orthogonality and unit determinant follow from unitarity of the input.
-    assert np.max(np.abs(out @ out.T - np.eye(3))) < 1e-9
-    assert abs(np.linalg.det(out) - 1.0) < 1e-9
+    orth = float(np.max(np.abs(out @ out.T - np.eye(3))))
+    det = float(np.linalg.det(out))
+    if not (orth < 1e-9 and abs(det - 1.0) < 1e-9):
+        raise InternalDisagreementError(
+            f"rotation is not in SO(3): orthogonality residual {orth!r}, "
+            f"determinant {det!r}"
+        )
     return out

@@ -7,15 +7,18 @@ Qubit indices are 1-based everywhere in the public API.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     BadSubsetError,
     DimensionMismatchError,
+    HermitianViolationError,
     LengthMismatchError,
+    NonFiniteError,
     TooLargeError,
     UnnormalizedError,
     ZeroVectorError,
@@ -57,12 +60,13 @@ class PureState:
                 f"expected {1 << self.n_qubits} amplitudes for "
                 f"n_qubits={self.n_qubits}, got {amps.size}"
             )
-        if self.is_normalized:
-            nsq = float(np.vdot(amps, amps).real)
-            if abs(nsq - 1.0) > NORM_SQ_TOL:
-                raise UnnormalizedError(
-                    f"squared norm {nsq!r} deviates from 1 by more than {NORM_SQ_TOL}"
-                )
+        nsq = float(np.vdot(amps, amps).real)
+        if not math.isfinite(nsq):
+            raise NonFiniteError(f"amplitudes must be finite; squared norm is {nsq!r}")
+        if self.is_normalized and abs(nsq - 1.0) > NORM_SQ_TOL:
+            raise UnnormalizedError(
+                f"squared norm {nsq!r} deviates from 1 by more than {NORM_SQ_TOL}"
+            )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -138,6 +142,8 @@ def new_state(n: int, amps: Iterable[complex], *, normalize: bool = False) -> Pu
             f"expected {1 << n} amplitudes for n={n}, got {vec.size}"
         )
     norm = float(np.linalg.norm(vec))
+    if not math.isfinite(norm):
+        raise NonFiniteError(f"amplitudes must be finite; norm is {norm!r}")
     if norm < 1e-14:
         raise ZeroVectorError(f"amplitude vector has norm {norm!r}")
     if abs(norm * norm - 1.0) > NORM_SQ_TOL:
@@ -153,6 +159,35 @@ def conjugate(state: PureState) -> PureState:
     """Entrywise complex conjugate of the state (an involution)."""
     return PureState(state.n_qubits, state.amplitudes.conj(),
                      is_normalized=state.is_normalized)
+
+
+# rho = (Re Re^T + Im Im^T) + i (Im Re^T - Re Im^T), indexed [part, part].
+_RE_IM_WEIGHTS = np.array([[1, -1j], [1j, 1]])
+
+
+def _reduced(amps: np.ndarray, n: int, kept: Sequence[int]) -> np.ndarray:
+    """Reduced density matrix of a bare amplitude vector over the qubits ``kept``.
+
+    Rows and columns follow the kept qubits in increasing order, as in
+    ``partial_trace``. Each run of consecutive qubits on one side of the cut
+    shares one axis, so a pair reduction transposes an (L, 2, M, 2, R) tensor,
+    never a (2,)*n one. Real and imaginary parts go through that transpose
+    together as floats and meet in one real Gram product, so the transposed
+    array is the only copy of the state made here.
+    """
+    keep = set(kept)
+    dims, kept_axes, traced_axes = [], [], []
+    for q in range(1, n + 1):
+        if q > 1 and (q in keep) == (q - 1 in keep):
+            dims[-1] *= 2
+        else:
+            (kept_axes if q in keep else traced_axes).append(len(dims))
+            dims.append(2)
+    side = 1 << len(keep)
+    parts = amps.view(np.float64).reshape(*dims, 2)
+    f = parts.transpose([len(dims)] + kept_axes + traced_axes).reshape(2 * side, -1)
+    gram = (f @ f.T).reshape(2, side, 2, side)
+    return np.einsum("pq,piqj->ij", _RE_IM_WEIGHTS, gram)
 
 
 def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:
@@ -180,28 +215,32 @@ def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:
         )
     if not state.is_normalized:
         raise UnnormalizedError("partial_trace requires a normalized state")
-    traced = [q for q in range(1, n + 1) if q not in set(kept)]
-    # Axis q-1 of the reshaped tensor is qubit q (qubit 1 = most significant).
-    psi = state.amplitudes.reshape((2,) * n)
-    psi = psi.transpose([q - 1 for q in kept] + [q - 1 for q in traced])
-    m = psi.reshape(1 << len(kept), -1)
-    return DensityMatrix(tuple(kept), m @ m.conj().T)
+    return DensityMatrix(tuple(kept), _reduced(state.amplitudes, n, kept))
+
+
+def _real(t, what: str, tol: float = HERMITIAN_TOL):
+    """Real part of a value that must be real, as a scalar or an array.
+
+    An imaginary residue at or above ``tol`` means a kernel bug, not bad
+    input, and raises HermitianViolationError (an assert would vanish
+    under ``python -O``).
+    """
+    residue = np.abs(t.imag).max() if isinstance(t, np.ndarray) else abs(t.imag)
+    if not residue < tol:
+        raise HermitianViolationError(f"{what} has imaginary residue {float(residue)!r}")
+    return t.real
 
 
 def purity(rho: DensityMatrix) -> float:
     """tr(rho^2) as a real number."""
-    t = np.einsum("ij,ji->", rho.matrix, rho.matrix)
-    assert abs(t.imag) < 1e-12
-    return float(t.real)
+    return float(_real(np.einsum("ij,ji->", rho.matrix, rho.matrix), "tr(rho^2)"))
 
 
 def trace_power(rho: DensityMatrix, k: int) -> float:
     """tr(rho^k) as a real number, k >= 1."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    t = np.linalg.matrix_power(rho.matrix, k).trace()
-    assert abs(t.imag) < 1e-12
-    return float(t.real)
+    return float(_real(np.linalg.matrix_power(rho.matrix, k).trace(), f"tr(rho^{k})"))
 
 
 def cross_term(rho_a: DensityMatrix, rho_b: DensityMatrix,
@@ -217,6 +256,4 @@ def cross_term(rho_a: DensityMatrix, rho_b: DensityMatrix,
             f"got {rho_ab.kept_qubits}"
         )
     prod = np.kron(rho_a.matrix, rho_b.matrix)
-    t = np.einsum("ij,ji->", prod, rho_ab.matrix)
-    assert abs(t.imag) < 1e-12
-    return float(t.real)
+    return float(_real(np.einsum("ij,ji->", prod, rho_ab.matrix), "cross term"))

@@ -5,6 +5,7 @@ import pytest
 
 from qinv import apply_local, new_state, random_lu
 from qinv.cli import dumps_state, load_state, main, write_state
+from qinv.state import MAX_QUBITS
 
 S2 = 1.0 / np.sqrt(2.0)
 GHZ_AMPS = [S2, 0, 0, 0, 0, 0, 0, S2]
@@ -79,6 +80,23 @@ def test_load_state_bad_pair_is_positional(tmp_path, capsys):
     path.write_text('{"n_qubits": 1, "amplitudes": [[1,0],["x",0]]}')
     assert main(["compute", "-s", str(path)]) == 2
     assert "amplitudes[1]" in capsys.readouterr().err
+
+
+def test_load_state_cap_is_max_qubits(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"n_qubits": {MAX_QUBITS + 1}, "amplitudes": []}}')
+    assert main(["compute", "-s", str(path)]) == 2
+    assert f"maximum of {MAX_QUBITS}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_compute_non_finite_amplitude_exits_2(tmp_path, capsys, bad):
+    path = tmp_path / "nan.json"
+    path.write_text(f'{{"n_qubits": 1, "amplitudes": [[{bad}, 0], [0, 0]]}}')
+    assert main(["compute", "-s", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert captured.out == ""
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -215,6 +233,29 @@ def test_explicit_seed_beats_env(tmp_path, monkeypatch):
     monkeypatch.delenv("QINV_SEED")
     assert main(["random", "2", "--seed", "7", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_rejects_sample_count_below_one(ghz_file, capsys, count):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "-s", ghz_file, "--samples", count])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "random"])
+def test_negative_seed_flag_exits_2(ghz_file, capsys, command):
+    argv = ["verify", "-s", ghz_file] if command == "verify" else ["random", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_negative_env_seed_exits_2(ghz_file, monkeypatch, capsys):
+    monkeypatch.setenv("QINV_SEED", "-5")
+    assert main(["verify", "-s", ghz_file]) == 2
+    assert "QINV_SEED" in capsys.readouterr().err
 
 
 def test_dumps_state_uses_17_significant_digits():

@@ -1,11 +1,20 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qinv
 from qinv import (
     BadSubsetError,
     DensityMatrix,
     LengthMismatchError,
+    NonFiniteError,
+    PureState,
     TooLargeError,
     UnnormalizedError,
     ZeroVectorError,
@@ -54,6 +63,16 @@ def test_new_state_zero_vector():
 def test_new_state_too_large():
     with pytest.raises(TooLargeError):
         new_state(25, [0] * (1 << 25))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_amplitudes_rejected(bad):
+    with pytest.raises(NonFiniteError):
+        new_state(1, [bad, 0])
+    with pytest.raises(NonFiniteError):
+        new_state(1, [bad, 0], normalize=True)
+    with pytest.raises(NonFiniteError):
+        PureState(1, np.array([bad, 0]), is_normalized=False)
 
 
 def test_new_state_bad_n():
@@ -246,3 +265,25 @@ def test_density_matrix_rejects_bad_trace():
 def test_density_matrix_rejects_negative_eigenvalue():
     with pytest.raises(ValueError, match="eigenvalue"):
         DensityMatrix((1,), np.diag([1.5, -0.5]))
+
+
+def test_purity_check_survives_python_O():
+    # A tampered matrix must be rejected even with assertions compiled out.
+    script = textwrap.dedent("""
+        if __debug__:
+            raise SystemExit("assertions are not compiled out")
+        import numpy as np
+        from qinv import HermitianViolationError, new_state, partial_trace, purity
+        rho = partial_trace(new_state(1, [2 ** -0.5, 2 ** -0.5]), {1})
+        tampered = np.array(rho.matrix)
+        tampered[0, 0] = 0.5 + 0.01j
+        object.__setattr__(rho, "matrix", tampered)
+        try:
+            purity(rho)
+        except HermitianViolationError:
+            print("raised")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(qinv.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "raised"
