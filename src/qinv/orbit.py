@@ -4,8 +4,11 @@ Local unitaries are drawn from the Euler-angle product
 e^{i a sigma_z} e^{i w sigma_y} e^{i b sigma_z} with a, b uniform on [0, 2pi)
 and w uniform on [0, pi); this is not the Haar measure, which is fine for
 invariance testing because an invariant must hold pointwise for every group
-element. Determinant-one operators come from exponentiating traceless random
-matrices, with rejection on the condition number.
+element. Determinant-one operators exponentiate traceless Gaussian matrices
+with the 2x2 closed form exp(M) = cosh(d) I + sinh(d)/d M, d^2 = -det M,
+and are rejected on a closed-form condition number. Every factor of an
+operator is drawn, built and validated as one (n, 2, 2) array; numpy is the
+only dependency.
 """
 from __future__ import annotations
 
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import invariants as _inv
 from . import pauli as _p
@@ -34,6 +36,53 @@ SL_KIND = "SL"
 _SL_CONDITION_CAP = 100.0
 _SL_SAMPLER_CONDITION_CAP = 10.0
 _SL_MAX_ATTEMPTS = 1000
+_UNIT_TOL = 1e-10
+# Below this |d^2| the closed-form exponential switches to its Taylor series;
+# the first dropped terms, d^4/24 and d^4/120, are then below 5e-18.
+_EXPM_SERIES_CUTOFF = 1e-8
+# Polynomial degree of the spin-flip invariants in the amplitudes. A value of
+# degree k on a vector of norm r is rounded at the scale r**k, which is the
+# relative-deviation floor when the invariant itself is zero.
+_SPIN_FLIP_DEGREE = {"C": 2, "Z": 4}
+
+
+def _det2(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 2x2 matrices."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
+def _cond2(m: np.ndarray) -> np.ndarray:
+    """2-norm condition numbers of a stack of 2x2 matrices, in closed form.
+
+    With F the Frobenius norm, the singular values satisfy s1^2 + s2^2 = F^2
+    and s1 s2 = |det|, so cond = s1 / s2 = s1^2 / |det| with
+    s1^2 = (F^2 + sqrt(F^4 - 4 |det|^2)) / 2. Singular matrices give inf and
+    non-finite ones NaN; callers compare with ``<=`` so both are rejected.
+    """
+    fro2 = np.sum(np.abs(m) ** 2, axis=(-2, -1))
+    adet = np.abs(_det2(m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s1sq = 0.5 * (fro2 + np.sqrt(np.maximum(fro2 * fro2 - 4.0 * adet * adet, 0.0)))
+        return s1sq / adet
+
+
+def _expm_traceless(m: np.ndarray) -> np.ndarray:
+    """exp(M) for a stack of traceless 2x2 matrices.
+
+    M^2 = d^2 I with d^2 = m00^2 + m01 m10, so exp(M) = cosh(d) I + sinh(d)/d M.
+    Both coefficients are even in d, so the branch of the square root does not
+    matter; near d = 0 (including nilpotent M) they come from their series.
+    """
+    d2 = m[:, 0, 0] ** 2 + m[:, 0, 1] * m[:, 1, 0]
+    small = np.abs(d2) < _EXPM_SERIES_CUTOFF
+    d = np.sqrt(np.where(small, 1.0, d2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.where(small, 1.0 + d2 / 2.0, np.cosh(d))
+        s = np.where(small, 1.0 + d2 / 6.0, np.sinh(d) / d)
+        out = s[:, None, None] * m
+    out[:, 0, 0] += c
+    out[:, 1, 1] += c
+    return out
 
 
 @dataclass(frozen=True)
@@ -46,24 +95,32 @@ class LocalOperator:
     def __post_init__(self) -> None:
         if self.kind not in (LU_KIND, SL_KIND):
             raise ValueError(f"kind must be {LU_KIND!r} or {SL_KIND!r}, got {self.kind!r}")
-        frozen = []
-        for k, op in enumerate(self.ops, start=1):
-            m = np.array(op, dtype=np.complex128)
+        mats = [np.asarray(op, dtype=np.complex128) for op in self.ops]
+        for k, m in enumerate(mats, start=1):
             if m.shape != (2, 2):
                 raise ValueError(f"operator {k} has shape {m.shape}, expected (2, 2)")
-            if self.kind == LU_KIND:
-                if np.max(np.abs(m.conj().T @ m - np.eye(2))) > 1e-10:
-                    raise NotUnitaryError(f"operator {k} is not unitary within 1e-10")
-            else:
-                det = np.linalg.det(m)
-                if abs(det - 1.0) > 1e-10:
-                    raise ValueError(f"operator {k} has determinant {det!r}, expected 1")
-                if np.linalg.cond(m) > _SL_CONDITION_CAP:
-                    raise ValueError(f"operator {k} exceeds condition number "
-                                     f"{_SL_CONDITION_CAP}")
-            m.setflags(write=False)
-            frozen.append(m)
-        object.__setattr__(self, "ops", tuple(frozen))
+        # One copy, so the factors do not alias the caller's arrays.
+        stack = np.array(mats, dtype=np.complex128).reshape(-1, 2, 2)
+        # Every check is written as ~(x <= tol) so that NaN fails it.
+        if self.kind == LU_KIND:
+            gram = stack.conj().swapaxes(-1, -2) @ stack
+            bad = ~(np.max(np.abs(gram - np.eye(2)), axis=(-2, -1)) <= _UNIT_TOL)
+            if bad.any():
+                k = int(np.argmax(bad)) + 1
+                raise NotUnitaryError(f"operator {k} is not unitary within {_UNIT_TOL:g}")
+        else:
+            det = _det2(stack)
+            bad_det = ~(np.abs(det - 1.0) <= _UNIT_TOL)
+            bad = bad_det | ~(_cond2(stack) <= _SL_CONDITION_CAP)
+            if bad.any():
+                k = int(np.argmax(bad))
+                if bad_det[k]:
+                    raise ValueError(f"operator {k + 1} has determinant "
+                                     f"{complex(det[k])!r}, expected 1")
+                raise ValueError(f"operator {k + 1} exceeds condition number "
+                                 f"{_SL_CONDITION_CAP}")
+        stack.setflags(write=False)
+        object.__setattr__(self, "ops", tuple(stack))
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -96,12 +153,19 @@ def random_state(n: int, seed: int) -> PureState:
     return PureState(n, vec)
 
 
-def _euler_unitary(alpha: float, omega: float, beta: float) -> np.ndarray:
-    rz_a = np.array([[np.exp(1j * alpha), 0], [0, np.exp(-1j * alpha)]])
-    ry = np.array([[np.cos(omega), np.sin(omega)],
-                   [-np.sin(omega), np.cos(omega)]], dtype=np.complex128)
-    rz_b = np.array([[np.exp(1j * beta), 0], [0, np.exp(-1j * beta)]])
-    return rz_a @ ry @ rz_b
+def _euler_unitary(alpha, omega, beta) -> np.ndarray:
+    """e^{i alpha sigma_z} e^{i omega sigma_y} e^{i beta sigma_z}, elementwise
+    over angle arrays: shape (..., 2, 2)."""
+    ea, ca = np.exp(1j * alpha), np.exp(-1j * alpha)
+    eb, cb = np.exp(1j * beta), np.exp(-1j * beta)
+    c, s = np.cos(omega), np.sin(omega)
+    return np.stack([np.stack([ea * c * eb, ea * s * cb], axis=-1),
+                     np.stack([ca * -s * eb, ca * c * cb], axis=-1)], axis=-2)
+
+
+# Uniform ranges of (alpha, omega, beta, global phase); rng.random() * width
+# is bit-for-bit what rng.uniform(0, width) returns.
+_EULER_WIDTHS = np.array([2.0 * np.pi, np.pi, 2.0 * np.pi, 2.0 * np.pi])
 
 
 def random_lu(n: int, seed: int, global_phase: bool = False) -> LocalOperator:
@@ -112,17 +176,12 @@ def random_lu(n: int, seed: int, global_phase: bool = False) -> LocalOperator:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    ops = []
-    for _ in range(n):
-        alpha = rng.uniform(0.0, 2.0 * np.pi)
-        omega = rng.uniform(0.0, np.pi)
-        beta = rng.uniform(0.0, 2.0 * np.pi)
-        u = _euler_unitary(alpha, omega, beta)
-        if global_phase:
-            u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * u
-        ops.append(u)
-    return LocalOperator(tuple(ops), LU_KIND)
+    cols = 4 if global_phase else 3
+    angles = np.random.default_rng(seed).random((n, cols)) * _EULER_WIDTHS[:cols]
+    u = _euler_unitary(angles[:, 0], angles[:, 1], angles[:, 2])
+    if global_phase:
+        u = np.exp(1j * angles[:, 3])[:, None, None] * u
+    return LocalOperator(tuple(u), LU_KIND)
 
 
 def random_sl(n: int, seed: int, spread: float = 0.5) -> LocalOperator:
@@ -130,29 +189,33 @@ def random_sl(n: int, seed: int, spread: float = 0.5) -> LocalOperator:
 
     Per qubit: exponentiate the traceless part of a Gaussian complex matrix
     (determinant exactly one analytically), polish the determinant
-    numerically, and reject on the condition number.
+    numerically, and reject on the condition number. Each attempt draws every
+    still-pending qubit at once; only rejected qubits are drawn again.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if spread <= 0:
         raise ValueError(f"spread must be > 0, got {spread}")
     rng = np.random.default_rng(seed)
-    ops = []
-    for q in range(1, n + 1):
-        for _ in range(_SL_MAX_ATTEMPTS):
-            m = spread * (rng.standard_normal((2, 2))
-                          + 1j * rng.standard_normal((2, 2)))
-            m -= 0.5 * np.trace(m) * np.eye(2)
-            g = scipy.linalg.expm(m)
-            g = g / np.sqrt(np.linalg.det(g))
-            if np.linalg.cond(g) <= _SL_SAMPLER_CONDITION_CAP:
-                ops.append(g)
-                break
-        else:
-            raise ConditioningFailureError(
-                f"no acceptable operator for qubit {q} after {_SL_MAX_ATTEMPTS} draws"
-            )
-    return LocalOperator(tuple(ops), SL_KIND)
+    ops = np.empty((n, 2, 2), dtype=np.complex128)
+    pending = np.arange(n)
+    for _ in range(_SL_MAX_ATTEMPTS):
+        z = rng.standard_normal((pending.size, 2, 2, 2))
+        m = spread * (z[:, 0] + 1j * z[:, 1])
+        half_trace = 0.5 * (m[:, 0, 0] + m[:, 1, 1])
+        m[:, 0, 0] -= half_trace
+        m[:, 1, 1] -= half_trace
+        g = _expm_traceless(m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g /= np.sqrt(_det2(g))[:, None, None]
+        ok = _cond2(g) <= _SL_SAMPLER_CONDITION_CAP
+        ops[pending[ok]] = g[ok]
+        pending = pending[~ok]
+        if pending.size == 0:
+            return LocalOperator(tuple(ops), SL_KIND)
+    raise ConditioningFailureError(
+        f"no acceptable operator for qubit {pending[0] + 1} after {_SL_MAX_ATTEMPTS} draws"
+    )
 
 
 def apply_local(state: PureState, g: LocalOperator) -> tuple[PureState, float]:
@@ -184,16 +247,16 @@ def _subseed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
-def _parse_selector(name: str, n: int) -> tuple[Callable[[PureState], complex], bool]:
-    """Map an invariant name to (evaluator, is_bilinear_kind)."""
+def _parse_selector(name: str, n: int) -> Callable[[PureState], complex]:
+    """Map an invariant name to its evaluator."""
     if name == "C":
         if n % 2 != 0:
             raise InvariantNotApplicableError(f"C needs even n, state has n={n}")
-        return _inv.concurrence, True
+        return _inv.concurrence
     if name == "Z":
         if n % 2 == 0:
             raise InvariantNotApplicableError(f"Z needs odd n, state has n={n}")
-        return _inv.odd_tangle, True
+        return _inv.odd_tangle
     if name in {"I_1", "I_2", "I_3", "I_4", "I_5", "I_6"}:
         if n != 3:
             raise InvariantNotApplicableError(f"{name} needs n=3, state has n={n}")
@@ -206,20 +269,25 @@ def _parse_selector(name: str, n: int) -> tuple[Callable[[PureState], complex], 
             5: _inv.cubic_invariant,
             6: _inv.three_tangle,
         }
-        return suite_fns[k], False
+        return suite_fns[k]
     if name.startswith("I_{") and name.endswith("}"):
         inner = name[3:-1]
         if "," in inner:
             parts = inner.split(",")
-            if len(parts) != 2:
-                raise InvariantNotApplicableError(f"cannot parse selector {name!r}")
-            i, j = int(parts[0]), int(parts[1])
-            return (lambda s: _inv.pair_invariant(s, i, j)), False
-        if len(inner) == 2 and n <= 9:
-            i, j = int(inner[0]), int(inner[1])
-            return (lambda s: _inv.pair_invariant(s, i, j)), False
-        i = int(inner)
-        return (lambda s: _inv.single_qubit_invariant(s, i)), False
+        elif len(inner) == 2 and n <= 9:
+            parts = list(inner)
+        else:
+            parts = [inner]
+        try:
+            indices = [int(p) for p in parts]
+        except ValueError:
+            indices = []
+        if len(indices) == 2:
+            i, j = indices
+            return lambda s: _inv.pair_invariant(s, i, j)
+        if len(indices) == 1:
+            return lambda s: _inv.single_qubit_invariant(s, indices[0])
+        raise InvariantNotApplicableError(f"cannot parse selector {name!r}")
     raise InvariantNotApplicableError(f"unknown invariant selector {name!r}")
 
 
@@ -230,20 +298,24 @@ def verify_invariance(state: PureState, invariant: str, group: str,
     LU orbits compare absolute deviations; the bilinear invariants C and Z are
     compared in modulus there because per-qubit global phases rotate their
     phase. SL orbits evaluate C/Z on the raw (unnormalized) images, compare
-    complex values, and the verdict uses the relative deviation. Everything is
-    deterministic per seed: sample k draws its operator from a sub-seed
-    derived from (seed, k).
+    complex values, and the verdict uses the relative deviation: relative to
+    |base|, or, when C/Z is zero on ``state``, to ``raw_norm ** degree`` of
+    each image. Everything is deterministic per seed: sample k draws its
+    operator from a sub-seed derived from (seed, k).
     """
     group = group.upper()
     if group not in (LU_KIND, SL_KIND):
         raise ValueError(f"group must be LU or SL, got {group!r}")
-    fn, is_bilinear = _parse_selector(invariant, state.n_qubits)
-    if group == SL_KIND and not is_bilinear:
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    fn = _parse_selector(invariant, state.n_qubits)
+    degree = _SPIN_FLIP_DEGREE.get(invariant)
+    if group == SL_KIND and degree is None:
         raise InvariantNotApplicableError(
             f"{invariant} is a first-kind invariant; only C and Z are tested "
             f"on SL orbits"
         )
-    modulus = is_bilinear and group == LU_KIND
+    modulus = degree is not None and group == LU_KIND
     base = complex(fn(state))
     base_mag = abs(base)
     max_abs = 0.0
@@ -252,12 +324,12 @@ def verify_invariance(state: PureState, invariant: str, group: str,
         sub = _subseed(seed, k)
         if group == LU_KIND:
             g = random_lu(state.n_qubits, sub, global_phase=modulus)
-            image, _ = apply_local(state, g)
-            value = complex(fn(image))
         else:
             g = random_sl(state.n_qubits, sub)
-            image, raw_norm = apply_local(state, g)
-            value = complex(fn(_raw_image(image, raw_norm)))
+        image, raw_norm = apply_local(state, g)
+        if group == SL_KIND:
+            image = _raw_image(image, raw_norm)
+        value = complex(fn(image))
         if modulus:
             dev = abs(abs(value) - base_mag)
         else:
@@ -265,6 +337,8 @@ def verify_invariance(state: PureState, invariant: str, group: str,
         max_abs = max(max_abs, dev)
         if base_mag > 0.0:
             max_rel = max(max_rel, dev / base_mag)
+        elif degree is not None:
+            max_rel = max(max_rel, dev / raw_norm ** degree)
         elif dev > 0.0:
             max_rel = np.inf
     metric = "rel" if group == SL_KIND else "abs"

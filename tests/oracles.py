@@ -1,7 +1,8 @@
-"""Independent dense oracles used to cross-check the stride kernels.
+"""Independent oracles used to cross-check the package kernels.
 
-Everything here builds full 2^n x 2^n matrices on purpose: these paths share
-no code with the package kernels they validate.
+The state and operator oracles build full 2^n x 2^n matrices on purpose, and
+the matrix exponential is a plain Taylor series: these paths share no code
+with the package kernels they validate.
 """
 from __future__ import annotations
 
@@ -57,3 +58,23 @@ def adjoint_defining_residual(u: np.ndarray, rot: np.ndarray) -> float:
         rhs = sum(rot[i, j] * sigmas[j] for j in range(3))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
+
+
+def expm_taylor(m: np.ndarray, terms: int = 20) -> np.ndarray:
+    """Matrix exponential by Taylor series with scaling and squaring.
+
+    M is scaled by 2^-s until its 1-norm is at most 1/2, where 20 terms leave
+    a truncation error below 1e-24, and the result is squared s times.
+    """
+    m = np.asarray(m, dtype=np.complex128)
+    norm = np.linalg.norm(m, 1)
+    s = int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0
+    a = m / 2.0 ** s
+    term = np.eye(m.shape[0], dtype=np.complex128)
+    out = term.copy()
+    for k in range(1, terms):
+        term = term @ a / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out

@@ -190,6 +190,15 @@ def test_verify_sl_group(tmp_path, capsys):
     assert "C" in out
 
 
+@pytest.mark.parametrize("amps", [W_AMPS, [1, 0, 0, 0, 0, 0, 0, 0]], ids=["w", "zero"])
+def test_verify_sl_group_on_slocc_null_state(tmp_path, capsys, amps):
+    # Z = 0 on both states; the relative verdict must not turn rounding into inf.
+    path = tmp_path / "null.json"
+    write_state(new_state(3, amps), str(path))
+    assert main(["verify", "-s", str(path), "--group", "sl", "--seed", "5"]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("pass")
+
+
 def test_verify_impossible_tolerance_fails(ghz_file, capsys):
     code = main(["verify", "-s", ghz_file, "--samples", "10",
                  "--seed", "1", "--tol", "1e-16"])

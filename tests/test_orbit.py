@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qinv
 from qinv import (
     InvariantNotApplicableError,
     LengthMismatchError,
@@ -16,6 +22,9 @@ from qinv import (
     random_state,
     verify_invariance,
 )
+from qinv import orbit as _orbit
+
+from oracles import expm_taylor
 
 
 # ------------------------------------------------------------- random_state
@@ -54,6 +63,36 @@ def test_random_lu_global_phase_keeps_unitarity():
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
 
+def test_random_lu_angles_match_sequential_uniform(monkeypatch):
+    # One rng.random((n, cols)) draw, scaled, must reproduce the scalar
+    # rng.uniform calls in qubit order, phase column included, bit for bit.
+    captured = []
+    euler = _orbit._euler_unitary
+
+    def spy(alpha, omega, beta):
+        captured.append((alpha, omega, beta))
+        return euler(alpha, omega, beta)
+
+    monkeypatch.setattr(_orbit, "_euler_unitary", spy)
+    for seed in range(100):
+        for global_phase in (False, True):
+            captured.clear()
+            g = random_lu(5, seed, global_phase=global_phase)
+            rng = np.random.default_rng(seed)
+            want = []
+            for _ in range(5):
+                want.append((rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, np.pi),
+                             rng.uniform(0.0, 2.0 * np.pi)))
+                if global_phase:
+                    want[-1] += (rng.uniform(0.0, 2.0 * np.pi),)
+            want = np.array(want)
+            (alpha, omega, beta), = captured
+            assert np.array_equal(np.stack([alpha, omega, beta], axis=1), want[:, :3])
+            phase = np.exp(1j * want[:, 3]) if global_phase else np.ones(5)
+            expected = phase[:, None, None] * euler(*want[:, :3].T)
+            assert_allclose(np.array(g.ops), expected, rtol=0, atol=1e-15)
+
+
 def test_lu_group_closure():
     for seed in range(20):
         u = random_lu(1, seed).ops[0]
@@ -84,6 +123,56 @@ def test_random_sl_small_spread_is_near_identity():
         assert np.max(np.abs(m - np.eye(2))) < 1e-6
 
 
+def _traceless(rng, count, spread):
+    z = rng.standard_normal((count, 2, 2, 2))
+    m = spread * (z[:, 0] + 1j * z[:, 1])
+    half_trace = 0.5 * (m[:, 0, 0] + m[:, 1, 1])
+    m[:, 0, 0] -= half_trace
+    m[:, 1, 1] -= half_trace
+    return m
+
+
+def _assert_expm_matches_oracle(m):
+    got = _orbit._expm_traceless(m)
+    for mk, gk in zip(m, got):
+        want = expm_taylor(mk)
+        assert np.max(np.abs(gk - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("spread", [0.5, 3.0])
+def test_expm_closed_form_matches_taylor_oracle(spread):
+    _assert_expm_matches_oracle(_traceless(np.random.default_rng(1), 500, spread))
+
+
+def test_expm_closed_form_nilpotent_and_series_cutover():
+    nilpotent = np.array([[[0, 1], [0, 0]]], dtype=np.complex128)
+    assert_allclose(_orbit._expm_traceless(nilpotent)[0], [[1, 1], [0, 1]], rtol=0, atol=0)
+    # d^2 = m00^2 + m01 m10 placed just below and above the series cut-over.
+    rng = np.random.default_rng(2)
+    cut = _orbit._EXPM_SERIES_CUTOFF
+    mats = []
+    for factor in (1e-12, 0.5, 0.999, 1.001, 2.0, 100.0):
+        for _ in range(50):
+            d2 = factor * cut * np.exp(2j * np.pi * rng.random())
+            a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            a *= 0.5 * np.sqrt(abs(d2))
+            mats.append([[a, b], [(d2 - a * a) / b, -a]])
+    _assert_expm_matches_oracle(np.array(mats))
+
+
+def test_closed_form_condition_number_matches_numpy():
+    rng = np.random.default_rng(3)
+    mats = rng.standard_normal((1000, 2, 2)) + 1j * rng.standard_normal((1000, 2, 2))
+    ref = np.linalg.cond(mats)
+    assert np.max(np.abs(_orbit._cond2(mats) / ref - 1.0)) <= 1e-13
+    # Near-singular: both routes lose about eps * cond relative accuracy.
+    u, _, vh = np.linalg.svd(mats)
+    sv = np.stack([np.ones(1000), 10.0 ** -rng.uniform(3.0, 10.0, 1000)], axis=-1)
+    near = (u * sv[:, None, :]) @ vh
+    ref = np.linalg.cond(near)
+    assert np.all(np.abs(_orbit._cond2(near) / ref - 1.0) <= 1e-14 * ref)
+
+
 def test_random_sl_rejects_bad_spread():
     with pytest.raises(ValueError):
         random_sl(1, 0, spread=0.0)
@@ -101,6 +190,41 @@ def test_local_operator_validates_sl_kind():
         LocalOperator((2.0 * np.eye(2),), "SL")
     with pytest.raises(ValueError):
         LocalOperator((np.eye(2),), "XX")
+
+
+def test_local_operator_rejects_non_finite_factor():
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(NotUnitaryError, match="operator 2 "):
+        LocalOperator((np.eye(2), nan), "LU")
+    with pytest.raises(ValueError, match="operator 2 "):
+        LocalOperator((np.eye(2), nan), "SL")
+
+
+def test_local_operator_rejects_singular_sl_factor():
+    with pytest.raises(ValueError, match="operator 1 has determinant"):
+        LocalOperator((np.array([[1.0, 1.0], [1.0, 1.0]]),), "SL")
+
+
+@pytest.mark.parametrize("kind, bad, error, message", [
+    ("LU", np.array([[1.0, 0.1], [0.0, 1.0]]), NotUnitaryError, "not unitary"),
+    ("SL", 2.0 * np.eye(2), ValueError, "determinant"),
+    ("SL", np.diag([20.0, 0.05]), ValueError, "condition number"),
+])
+def test_local_operator_names_the_bad_factor(kind, bad, error, message):
+    for k in (1, 3, 5):
+        ops = [np.eye(2)] * 5
+        ops[k - 1] = bad
+        with pytest.raises(error, match=f"operator {k} .*{message}"):
+            LocalOperator(tuple(ops), kind)
+
+
+def test_import_leaves_scipy_unloaded():
+    # Exit code, not assert, so the check also holds under python -O.
+    script = ("import sys, qinv; "
+              "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(qinv.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env)
+    assert proc.returncode == 0
 
 
 # -------------------------------------------------------------- apply_local
@@ -182,6 +306,20 @@ def test_verify_slocc_on_random_state():
     assert report.max_rel_deviation < 1e-7
 
 
+@pytest.mark.parametrize("fixture", ["w3", "zero3"])
+def test_verify_slocc_on_null_state(fixture, request):
+    # Z = 0 here; the deviation is scaled by raw_norm ** 4, not by |Z|.
+    report = verify_invariance(request.getfixturevalue(fixture), "Z", "SL", 100, 1e-7, 7)
+    assert report.passed
+    assert report.max_rel_deviation < 1e-12
+
+
+def test_verify_rejects_sample_count_below_one(ghz3):
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples"):
+            verify_invariance(ghz3, "I_1", "LU", samples, 1e-9, 0)
+
+
 def test_verify_is_deterministic():
     s = random_state(3, 5)
     a = verify_invariance(s, "I_{12}", "LU", 25, 1e-9, 11)
@@ -214,6 +352,12 @@ def test_verify_not_applicable(ghz3, bell):
         verify_invariance(bell, "I_5", "LU", 5, 1e-9, 0)
     with pytest.raises(InvariantNotApplicableError):
         verify_invariance(bell, "bogus", "LU", 5, 1e-9, 0)
+
+
+@pytest.mark.parametrize("name", ["I_{x}", "I_{1,x}", "I_{}", "I_{1,2,3}"])
+def test_verify_malformed_selector(bell, name):
+    with pytest.raises(InvariantNotApplicableError, match="cannot parse"):
+        verify_invariance(bell, name, "LU", 5, 1e-9, 0)
 
 
 def test_applicable_invariants_lists():
