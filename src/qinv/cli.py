@@ -22,7 +22,13 @@ import numpy as np
 
 from . import invariants as _inv
 from . import orbit as _orbit
-from .errors import QinvError, TooLargeError, UnnormalizedError
+from .errors import (
+    QinvError,
+    StateFileError,
+    TooLargeError,
+    UnnormalizedError,
+    UnnormalizedInputError,
+)
 from .invariants import InvariantReport
 from .state import MAX_QUBITS, PureState, new_state
 
@@ -30,14 +36,6 @@ DEFAULT_LU_TOL = 1e-9
 DEFAULT_SL_TOL = 1e-7
 DEFAULT_COMPARE_TOL = 1e-9
 SEED_ENV_VAR = "QINV_SEED"
-
-
-class StateFileError(Exception):
-    """Unreadable or schema-invalid state file (exit 2)."""
-
-
-class UnnormalizedInputError(Exception):
-    """State file is not normalized and --normalize was not given (exit 3)."""
 
 
 def _fmt(x: float) -> str:
@@ -202,7 +200,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             }
             for r in reports
         ]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         print(f"{'invariant':<10} {'group':<6} {'samples':<8} "
               f"{'max_abs':<12} {'max_rel':<12} {'tol':<10} result")

@@ -74,3 +74,11 @@ class InvariantNotApplicableError(QinvError, ValueError):
 
 class ConditioningFailureError(QinvError, RuntimeError):
     """Rejection sampling could not produce a well-conditioned operator."""
+
+
+class StateFileError(QinvError, ValueError):
+    """Unreadable or schema-invalid state file (CLI exit code 2)."""
+
+
+class UnnormalizedInputError(UnnormalizedError):
+    """State file is not normalized and --normalize was not given (CLI exit code 3)."""

@@ -65,19 +65,22 @@ def _letters(n: int, **at: str) -> str:
     return "".join(word)
 
 
-def _one_point(state: PureState, i: int) -> np.ndarray:
-    """<sigma_{i,a}> for a in (x, y, z)."""
-    n = state.n_qubits
-    return np.array(
-        [_p.expectation(state, _letters(n, **{f"q{i}": a})) for a in AXES]
-    )
+def _one_point(amps: np.ndarray, n: int, i: int) -> np.ndarray:
+    """<sigma_{i,a}> for a in (x, y, z) through the operator kernel, per
+    vector of ``amps`` (..., 2**n): shape (..., 3)."""
+    ops = [PAULI_I] * n
+    values = []
+    for a in AXES:
+        ops[i - 1] = _p.PAULI_BY_LETTER[a]
+        values.append(_p._expectations(amps, n, ops, f"<{a}_{i}>"))
+    return np.stack(values, axis=-1)
 
 
 def single_qubit_invariant(state: PureState, i: int) -> float:
     """1 - <X_i>^2 - <Y_i>^2 - <Z_i>^2 (equals 4 det of the one-qubit reduction)."""
     _check_normalized(state)
     _check_qubit(state, i)
-    return float(1.0 - np.sum(_one_point(state, i) ** 2))
+    return float(1.0 - np.sum(_one_point(state.amplitudes, state.n_qubits, i) ** 2))
 
 
 def single_qubit_invariant_dm(state: PureState, i: int) -> float:
@@ -142,7 +145,12 @@ def concurrence(state: PureState) -> complex:
     n = state.n_qubits
     if n % 2 != 0:
         raise OddQubitCountError(f"concurrence needs an even qubit count, got {n}")
-    return _p.bilinear(state, (SPIN_FLIP,) * n)
+    return complex(_concurrence(state.amplitudes, n))
+
+
+def _concurrence(amps: np.ndarray, n: int) -> np.ndarray:
+    """``concurrence`` per vector of ``amps`` (..., 2**n), n even."""
+    return _p._bilinears(amps, n, (SPIN_FLIP,) * n)
 
 
 def odd_tangle(state: PureState) -> complex:
@@ -155,10 +163,14 @@ def odd_tangle(state: PureState) -> complex:
     n = state.n_qubits
     if n % 2 == 0:
         raise EvenQubitCountError(f"odd_tangle needs an odd qubit count, got {n}")
+    return complex(_odd_tangle(state.amplitudes, n))
+
+
+def _odd_tangle(amps: np.ndarray, n: int) -> np.ndarray:
+    """``odd_tangle`` per vector of ``amps`` (..., 2**n), n odd."""
     base = (SPIN_FLIP,) * (n - 1)
-    b_x = _p.bilinear(state, base + (PAULI_X,))
-    b_z = _p.bilinear(state, base + (PAULI_Z,))
-    b_1 = _p.bilinear(state, base + (PAULI_I,))
+    b_x, b_z, b_1 = (_p._bilinears(amps, n, base + (w,))
+                     for w in (PAULI_X, PAULI_Z, PAULI_I))
     return b_x**2 + b_z**2 - b_1**2
 
 
@@ -169,15 +181,22 @@ def triple_correlation_sum(state: PureState, i: int, j: int) -> float:
     _check_qubit(state, j)
     if i == j:
         raise SameIndexError(f"need two distinct qubits, got {i}")
-    n = state.n_qubits
-    one_i = _one_point(state, i)
-    one_j = _one_point(state, j)
+    return float(_triple_correlation(state.amplitudes, state.n_qubits, i, j))
+
+
+def _triple_correlation(amps: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
+    """``triple_correlation_sum`` per vector of ``amps`` (..., 2**n)."""
+    one_i = _one_point(amps, n, i)
+    one_j = _one_point(amps, n, j)
+    ops = [PAULI_I] * n
     total = 0.0
-    for a, va in zip(AXES, one_i):
-        for b, vb in zip(AXES, one_j):
-            word = _letters(n, **{f"q{i}": a, f"q{j}": b})
-            total += va * vb * _p.expectation(state, word)
-    return float(total)
+    for a, a_name in enumerate(AXES):
+        ops[i - 1] = _p.PAULI_BY_LETTER[a_name]
+        for b, b_name in enumerate(AXES):
+            ops[j - 1] = _p.PAULI_BY_LETTER[b_name]
+            corr = _p._expectations(amps, n, ops, f"<{a_name}_{i} {b_name}_{j}>")
+            total = total + one_i[..., a] * one_j[..., b] * corr
+    return total
 
 
 def cubic_invariant(state: PureState, method: str = "density") -> float:
@@ -253,9 +272,13 @@ def three_tangle(state: PureState) -> float:
             f"three-tangle is defined for 3 qubits, got {state.n_qubits}"
         )
     _check_normalized(state)
-    a = state.amplitudes.reshape(2, 2, 2)
-    a000, a001, a010, a011 = a[0, 0, 0], a[0, 0, 1], a[0, 1, 0], a[0, 1, 1]
-    a100, a101, a110, a111 = a[1, 0, 0], a[1, 0, 1], a[1, 1, 0], a[1, 1, 1]
+    return float(_tangle(state.amplitudes))
+
+
+def _tangle(amps: np.ndarray) -> np.ndarray:
+    """``three_tangle`` per vector of ``amps``, shape (8,) or (samples, 8)."""
+    # Basis index 4 q1 + 2 q2 + q3; one vector unpacks into numpy scalars.
+    a000, a001, a010, a011, a100, a101, a110, a111 = amps.T
     d1 = (a000 * a111) ** 2 + (a001 * a110) ** 2 \
         + (a010 * a101) ** 2 + (a100 * a011) ** 2
     d2 = (
@@ -267,7 +290,7 @@ def three_tangle(state: PureState) -> float:
         + a101 * a010 * a110 * a001
     )
     d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
-    return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
+    return 4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3)
 
 
 def invariant_count(n: int) -> int:
@@ -279,7 +302,8 @@ def invariant_count(n: int) -> int:
 
 def _purity_pauli_form(state: PureState, i: int) -> float:
     """tr(rho_i^2) via (1 + sum_a <sigma_{i,a}>^2) / 2."""
-    return float(0.5 * (1.0 + np.sum(_one_point(state, i) ** 2)))
+    one = _one_point(state.amplitudes, state.n_qubits, i)
+    return float(0.5 * (1.0 + np.sum(one**2)))
 
 
 def three_qubit_suite(state: PureState) -> InvariantReport:
@@ -328,6 +352,15 @@ _TWO_POINT_ROWS = np.array([[np.kron(a, b).T.ravel() for b in _p._SIGMAS]
                             for a in _p._SIGMAS])
 
 
+def _correlators(rho: np.ndarray, rows: np.ndarray, what: str) -> np.ndarray:
+    """tr(rho P) for the Pauli products P of ``rows``, over a stack of reduced
+    density matrices (..., side, side); each value must be real within 1e-10."""
+    lead = rho.shape[:-2]
+    flat = rho.reshape(*lead, -1)
+    t = flat @ rows.reshape(-1, flat.shape[-1]).T
+    return _s._real(t.reshape(*lead, *rows.shape[:-1]), what, _p.HERMITIAN_RESIDUE_TOL)
+
+
 def first_kind_fingerprint(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     """All one-point and two-point Pauli expectations, read off reduced states.
 
@@ -344,14 +377,14 @@ def first_kind_fingerprint(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     psi = state.amplitudes
     singles = np.empty((n, 3), dtype=np.float64)
     pairs = np.full((n, n, 3, 3), np.nan, dtype=np.float64)
-    tol = _p.HERMITIAN_RESIDUE_TOL
     for i in range(1, n + 1):
-        t = _ONE_POINT_ROWS @ _s._reduced(psi, n, (i,)).ravel()
-        singles[i - 1] = _s._real(t, f"one-point expectations of qubit {i}", tol)
+        singles[i - 1] = _correlators(_s._reduced(psi, n, (i,)), _ONE_POINT_ROWS,
+                                      f"one-point expectations of qubit {i}")
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            t = _TWO_POINT_ROWS @ _s._reduced(psi, n, (i, j)).ravel()
-            pairs[i - 1, j - 1] = _s._real(t, f"two-point block ({i}, {j})", tol)
+            pairs[i - 1, j - 1] = _correlators(_s._reduced(psi, n, (i, j)),
+                                               _TWO_POINT_ROWS,
+                                               f"two-point block ({i}, {j})")
     return singles, pairs
 
 
@@ -407,3 +440,62 @@ def invariant_report(state: PureState, seed: int | None = None) -> InvariantRepo
     if seed is not None:
         metadata["seed"] = seed
     return InvariantReport(n, entries, tolerances, metadata)
+
+
+# Batched evaluators: one value per vector of a stack of amplitude vectors
+# (samples, 2**n), for ``verify_invariance``. Each runs the checks of its
+# per-operation counterpart on every vector: reductions pass the
+# DensityMatrix checks, correlators the imaginary-residue check, and dual
+# routes their agreement check. The per-operation functions above stay the
+# reference the base value of a campaign comes from.
+
+def _density(amps: np.ndarray, n: int, kept: tuple[int, ...]) -> np.ndarray:
+    """Reduced density matrices of a stack, with the DensityMatrix checks."""
+    rho = _s._reduced(amps, n, kept)
+    _s._check_density(rho)
+    return rho
+
+
+def _agree(what: str, **routes: np.ndarray) -> None:
+    """Raise InternalDisagreementError where two routes differ by more than 1e-10."""
+    (name_a, a), (name_b, b) = routes.items()
+    bad = ~(np.abs(a - b) <= INTERNAL_TOL)
+    if bad.any():
+        idx, at = _s._failing(bad)
+        raise InternalDisagreementError(
+            f"{at}{what} routes disagree: {name_a}={float(a[idx])!r} "
+            f"{name_b}={float(b[idx])!r}")
+
+
+def _single(amps: np.ndarray, n: int, i: int) -> np.ndarray:
+    t = _correlators(_density(amps, n, (i,)), _ONE_POINT_ROWS,
+                     f"one-point expectations of qubit {i}")
+    return 1.0 - np.sum(t**2, axis=-1)
+
+
+def _pair(amps: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
+    t = _correlators(_density(amps, n, (i, j)), _TWO_POINT_ROWS,
+                     f"two-point block ({i}, {j})")
+    return 1.0 - np.sum(t**2, axis=(-2, -1))
+
+
+def _purity(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
+    """tr(rho^2) of one qubit, checked against its Pauli-expectation form."""
+    rho = _density(amps, n, (qubit,))
+    via_purity = _s._real(np.einsum("...ij,...ji->...", rho, rho), "tr(rho^2)")
+    via_pauli = 0.5 * (1.0 + np.sum(_one_point(amps, n, qubit) ** 2, axis=-1))
+    _agree(f"purity of qubit {qubit}", purity=via_purity, pauli=via_pauli)
+    return via_purity
+
+
+def _cubic(amps: np.ndarray, n: int) -> np.ndarray:
+    """``cubic_invariant`` (density route), checked against the Pauli route."""
+    rho_a, rho_b, rho_ab = (_density(amps, n, kept) for kept in ((1,), (2,), (1, 2)))
+    kron = np.einsum("...ij,...kl->...ikjl", rho_a, rho_b).reshape(rho_ab.shape)
+    cross = _s._real(np.einsum("...ij,...ji->...", kron, rho_ab), "cross term")
+    cube_a, cube_b = (_s._real(np.trace(r @ r @ r, axis1=-2, axis2=-1), "tr(rho^3)")
+                      for r in (rho_a, rho_b))
+    via_density = 3.0 * cross - cube_a - cube_b
+    via_pauli = 0.25 * (1.0 + 3.0 * _triple_correlation(amps, n, 1, 2))
+    _agree("cubic invariant", density=via_density, pauli=via_pauli)
+    return via_density

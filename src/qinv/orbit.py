@@ -6,14 +6,24 @@ and w uniform on [0, pi); this is not the Haar measure, which is fine for
 invariance testing because an invariant must hold pointwise for every group
 element. Determinant-one operators exponentiate traceless Gaussian matrices
 with the 2x2 closed form exp(M) = cosh(d) I + sinh(d)/d M, d^2 = -det M,
-and are rejected on a closed-form condition number. Every factor of an
-operator is drawn, built and validated as one (n, 2, 2) array; numpy is the
-only dependency.
+and are rejected on a closed-form condition number. numpy is the only
+dependency.
+
+``verify_invariance`` runs a campaign in chunks of samples (as many as keep a
+chunk within 2**12 amplitudes: 100 samples make one chunk up to n = 5, and a
+chunk holds one sample from n = 12 on). Sample k still draws from its own
+generator, seeded from (seed, k), so its operator is bit-for-bit
+``random_lu`` or ``random_sl`` at that sub-seed; everything after the draws
+runs once per chunk over a (chunk, n, 2, 2) stack of operators and a
+(chunk, 2**n) stack of images: building and validating the operators,
+applying them, and evaluating the invariant with every check of its
+per-operation route. ``random_lu``, ``random_sl``, ``LocalOperator`` and
+``apply_local`` are the one-sample case of the same code.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +35,7 @@ from .errors import (
     InvariantNotApplicableError,
     LengthMismatchError,
     NotUnitaryError,
+    QinvError,
     TooLargeError,
 )
 from .state import PureState
@@ -40,10 +51,10 @@ _UNIT_TOL = 1e-10
 # Below this |d^2| the closed-form exponential switches to its Taylor series;
 # the first dropped terms, d^4/24 and d^4/120, are then below 5e-18.
 _EXPM_SERIES_CUTOFF = 1e-8
-# Polynomial degree of the spin-flip invariants in the amplitudes. A value of
-# degree k on a vector of norm r is rounded at the scale r**k, which is the
-# relative-deviation floor when the invariant itself is zero.
-_SPIN_FLIP_DEGREE = {"C": 2, "Z": 4}
+_SL_SPREAD = 0.5
+# Amplitudes per campaign chunk (64 KB of images). Larger chunks are no
+# faster, and a campaign holds a few arrays of this size at once.
+_CHUNK_AMPLITUDES = 1 << 12
 
 
 def _det2(m: np.ndarray) -> np.ndarray:
@@ -85,6 +96,34 @@ def _expm_traceless(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_ops(stack: np.ndarray, kind: str) -> None:
+    """Validate local operators (..., n, 2, 2) in one pass over the stack.
+
+    LU factors must be unitary; SL factors need determinant one and a
+    condition number of at most 100. Every check is written as ~(x <= tol)
+    so that NaN fails it. The message names the first failing factor by its
+    1-based index, and its sample when the stack holds several.
+    """
+    if kind == LU_KIND:
+        gram = np.einsum("...ki,...kj->...ij", stack.conj(), stack)
+        bad = ~(np.max(np.abs(gram - np.eye(2)), axis=(-2, -1)) <= _UNIT_TOL)
+        if bad.any():
+            idx, at = _s._failing(bad, core=1)
+            raise NotUnitaryError(
+                f"{at}operator {idx[-1] + 1} is not unitary within {_UNIT_TOL:g}")
+        return
+    det = _det2(stack)
+    bad_det = ~(np.abs(det - 1.0) <= _UNIT_TOL)
+    bad = bad_det | ~(_cond2(stack) <= _SL_CONDITION_CAP)
+    if bad.any():
+        idx, at = _s._failing(bad, core=1)
+        if bad_det[idx]:
+            raise ValueError(f"{at}operator {idx[-1] + 1} has determinant "
+                             f"{complex(det[idx])!r}, expected 1")
+        raise ValueError(f"{at}operator {idx[-1] + 1} exceeds condition number "
+                         f"{_SL_CONDITION_CAP}")
+
+
 @dataclass(frozen=True)
 class LocalOperator:
     """One 2x2 operator per qubit, either all-unitary (LU) or det-one (SL)."""
@@ -101,24 +140,7 @@ class LocalOperator:
                 raise ValueError(f"operator {k} has shape {m.shape}, expected (2, 2)")
         # One copy, so the factors do not alias the caller's arrays.
         stack = np.array(mats, dtype=np.complex128).reshape(-1, 2, 2)
-        # Every check is written as ~(x <= tol) so that NaN fails it.
-        if self.kind == LU_KIND:
-            gram = stack.conj().swapaxes(-1, -2) @ stack
-            bad = ~(np.max(np.abs(gram - np.eye(2)), axis=(-2, -1)) <= _UNIT_TOL)
-            if bad.any():
-                k = int(np.argmax(bad)) + 1
-                raise NotUnitaryError(f"operator {k} is not unitary within {_UNIT_TOL:g}")
-        else:
-            det = _det2(stack)
-            bad_det = ~(np.abs(det - 1.0) <= _UNIT_TOL)
-            bad = bad_det | ~(_cond2(stack) <= _SL_CONDITION_CAP)
-            if bad.any():
-                k = int(np.argmax(bad))
-                if bad_det[k]:
-                    raise ValueError(f"operator {k + 1} has determinant "
-                                     f"{complex(det[k])!r}, expected 1")
-                raise ValueError(f"operator {k + 1} exceeds condition number "
-                                 f"{_SL_CONDITION_CAP}")
+        _check_ops(stack, self.kind)
         stack.setflags(write=False)
         object.__setattr__(self, "ops", tuple(stack))
 
@@ -168,6 +190,18 @@ def _euler_unitary(alpha, omega, beta) -> np.ndarray:
 _EULER_WIDTHS = np.array([2.0 * np.pi, np.pi, 2.0 * np.pi, 2.0 * np.pi])
 
 
+def _draw_lu(seeds: Sequence[int], n: int, global_phase: bool) -> np.ndarray:
+    """The factors ``random_lu`` builds for each seed, unvalidated:
+    shape (len(seeds), n, 2, 2)."""
+    cols = 4 if global_phase else 3
+    angles = np.array([np.random.default_rng(s).random((n, cols)) for s in seeds])
+    angles = (angles * _EULER_WIDTHS[:cols]).reshape(-1, cols)
+    u = _euler_unitary(angles[:, 0], angles[:, 1], angles[:, 2])
+    if global_phase:
+        u = np.exp(1j * angles[:, 3])[:, None, None] * u
+    return u.reshape(len(seeds), n, 2, 2)
+
+
 def random_lu(n: int, seed: int, global_phase: bool = False) -> LocalOperator:
     """Random local unitary, one Euler-angle factor per qubit.
 
@@ -176,31 +210,26 @@ def random_lu(n: int, seed: int, global_phase: bool = False) -> LocalOperator:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    cols = 4 if global_phase else 3
-    angles = np.random.default_rng(seed).random((n, cols)) * _EULER_WIDTHS[:cols]
-    u = _euler_unitary(angles[:, 0], angles[:, 1], angles[:, 2])
-    if global_phase:
-        u = np.exp(1j * angles[:, 3])[:, None, None] * u
-    return LocalOperator(tuple(u), LU_KIND)
+    return LocalOperator(tuple(_draw_lu([seed], n, global_phase)[0]), LU_KIND)
 
 
-def random_sl(n: int, seed: int, spread: float = 0.5) -> LocalOperator:
-    """Random determinant-one local operator with condition number <= 10.
+def _draw_sl(seeds: Sequence[int], n: int, spread: float) -> np.ndarray:
+    """The factors ``random_sl`` builds for each seed, unvalidated:
+    shape (len(seeds), n, 2, 2).
 
-    Per qubit: exponentiate the traceless part of a Gaussian complex matrix
-    (determinant exactly one analytically), polish the determinant
-    numerically, and reject on the condition number. Each attempt draws every
-    still-pending qubit at once; only rejected qubits are drawn again.
+    Each seed has its own generator. An attempt draws, from each generator,
+    that sample's still-pending qubits in increasing order, then builds and
+    tests every drawn row of every sample at once.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if spread <= 0:
-        raise ValueError(f"spread must be > 0, got {spread}")
-    rng = np.random.default_rng(seed)
-    ops = np.empty((n, 2, 2), dtype=np.complex128)
-    pending = np.arange(n)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    ops = np.empty((len(seeds) * n, 2, 2), dtype=np.complex128)
+    # Pending rows of ``ops`` (sample * n + qubit), ascending: within each
+    # sample, the order random_sl draws its qubits in.
+    pending = np.arange(len(seeds) * n)
     for _ in range(_SL_MAX_ATTEMPTS):
-        z = rng.standard_normal((pending.size, 2, 2, 2))
+        counts = np.bincount(pending // n, minlength=len(rngs))
+        z = np.concatenate([rngs[b].standard_normal((counts[b], 2, 2, 2))
+                            for b in np.flatnonzero(counts)])
         m = spread * (z[:, 0] + 1j * z[:, 1])
         half_trace = 0.5 * (m[:, 0, 0] + m[:, 1, 1])
         m[:, 0, 0] -= half_trace
@@ -212,10 +241,41 @@ def random_sl(n: int, seed: int, spread: float = 0.5) -> LocalOperator:
         ops[pending[ok]] = g[ok]
         pending = pending[~ok]
         if pending.size == 0:
-            return LocalOperator(tuple(ops), SL_KIND)
+            return ops.reshape(len(seeds), n, 2, 2)
+    sample, qubit = divmod(int(pending[0]), n)
+    at = f"sample {sample}: " if len(seeds) > 1 else ""
     raise ConditioningFailureError(
-        f"no acceptable operator for qubit {pending[0] + 1} after {_SL_MAX_ATTEMPTS} draws"
+        f"{at}no acceptable operator for qubit {qubit + 1} after "
+        f"{_SL_MAX_ATTEMPTS} draws"
     )
+
+
+def random_sl(n: int, seed: int, spread: float = _SL_SPREAD) -> LocalOperator:
+    """Random determinant-one local operator with condition number <= 10.
+
+    Per qubit: exponentiate the traceless part of a Gaussian complex matrix
+    (determinant exactly one analytically), polish the determinant
+    numerically, and reject on the condition number. Each attempt draws every
+    still-pending qubit at once; only rejected qubits are drawn again.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if spread <= 0:
+        raise ValueError(f"spread must be > 0, got {spread}")
+    return LocalOperator(tuple(_draw_sl([seed], n, spread)[0]), SL_KIND)
+
+
+def _images(amps: np.ndarray, n: int, ops: np.ndarray,
+            kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Images of one amplitude vector under local operators (..., n, 2, 2).
+
+    Returns the raw images (..., 2**n) and their norms. Every image must be
+    finite, and an LU image normalized within 1e-10 (the PureState checks).
+    """
+    out = _p._apply_factors(amps, n, ops.swapaxes(0, -3))
+    nsq = np.vecdot(out, out).real
+    _s._check_norms(nsq, kind == LU_KIND)
+    return out, np.sqrt(nsq)
 
 
 def apply_local(state: PureState, g: LocalOperator) -> tuple[PureState, float]:
@@ -230,16 +290,10 @@ def apply_local(state: PureState, g: LocalOperator) -> tuple[PureState, float]:
     n = state.n_qubits
     if len(g) != n:
         raise LengthMismatchError(f"operator has {len(g)} factors, state has {n} qubits")
-    amps = _p._apply_factors(state.amplitudes, n, g.ops)
-    raw_norm = float(np.linalg.norm(amps))
+    amps, raw_norm = _images(state.amplitudes, n, np.array(g.ops), g.kind)
     if g.kind == LU_KIND:
-        return PureState(n, amps), raw_norm
-    return PureState(n, amps / raw_norm), raw_norm
-
-
-def _raw_image(image: PureState, raw_norm: float) -> PureState:
-    return PureState(image.n_qubits, image.amplitudes * raw_norm,
-                     is_normalized=False)
+        return PureState(n, amps), float(raw_norm)
+    return PureState(n, amps / raw_norm), float(raw_norm)
 
 
 def _subseed(seed: int, index: int) -> int:
@@ -247,29 +301,46 @@ def _subseed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
-def _parse_selector(name: str, n: int) -> Callable[[PureState], complex]:
-    """Map an invariant name to its evaluator."""
-    if name == "C":
-        if n % 2 != 0:
-            raise InvariantNotApplicableError(f"C needs even n, state has n={n}")
-        return _inv.concurrence
-    if name == "Z":
-        if n % 2 == 0:
-            raise InvariantNotApplicableError(f"Z needs odd n, state has n={n}")
-        return _inv.odd_tangle
-    if name in {"I_1", "I_2", "I_3", "I_4", "I_5", "I_6"}:
-        if n != 3:
+class _Selector(NamedTuple):
+    """How ``verify_invariance`` evaluates one invariant."""
+
+    reference: Callable[[PureState], complex]  # per-operation route: the base value
+    batched: Callable[[np.ndarray, int], np.ndarray]  # per row of (samples, 2**n)
+    degree: int  # polynomial degree in the amplitudes
+
+
+def _purity_of(qubit: int) -> _Selector:
+    return _Selector(lambda s: _s.purity(_s.partial_trace(s, {qubit})),
+                     lambda a, n: _inv._purity(a, n, qubit), 4)
+
+
+# A value of degree k on a vector of norm r is rounded at the scale r**k,
+# which is the relative-deviation floor when the invariant itself is zero.
+# References look their function up at call time, as the parent module's
+# attribute, so that a wrapper installed there sees the call.
+_SELECTORS = {
+    "I_1": _Selector(lambda s: float(np.vdot(s.amplitudes, s.amplitudes).real),
+                     lambda a, n: np.vecdot(a, a).real, 2),
+    "I_2": _purity_of(3),
+    "I_3": _purity_of(2),
+    "I_4": _purity_of(1),
+    "I_5": _Selector(lambda s: _inv.cubic_invariant(s), _inv._cubic, 6),
+    "I_6": _Selector(lambda s: _inv.three_tangle(s), lambda a, n: _inv._tangle(a), 4),
+    "C": _Selector(lambda s: _inv.concurrence(s), _inv._concurrence, 2),
+    "Z": _Selector(lambda s: _inv.odd_tangle(s), _inv._odd_tangle, 4),
+}
+
+
+def _parse_selector(name: str, n: int) -> _Selector:
+    """Map an invariant name to its evaluators and degree."""
+    if name == "C" and n % 2 != 0:
+        raise InvariantNotApplicableError(f"C needs even n, state has n={n}")
+    if name == "Z" and n % 2 == 0:
+        raise InvariantNotApplicableError(f"Z needs odd n, state has n={n}")
+    if name in _SELECTORS:
+        if name.startswith("I_") and n != 3:
             raise InvariantNotApplicableError(f"{name} needs n=3, state has n={n}")
-        k = int(name[2:])
-        suite_fns: dict[int, Callable[[PureState], complex]] = {
-            1: lambda s: float(np.vdot(s.amplitudes, s.amplitudes).real),
-            2: lambda s: _s.purity(_s.partial_trace(s, {3})),
-            3: lambda s: _s.purity(_s.partial_trace(s, {2})),
-            4: lambda s: _s.purity(_s.partial_trace(s, {1})),
-            5: _inv.cubic_invariant,
-            6: _inv.three_tangle,
-        }
-        return suite_fns[k]
+        return _SELECTORS[name]
     if name.startswith("I_{") and name.endswith("}"):
         inner = name[3:-1]
         if "," in inner:
@@ -284,9 +355,12 @@ def _parse_selector(name: str, n: int) -> Callable[[PureState], complex]:
             indices = []
         if len(indices) == 2:
             i, j = indices
-            return lambda s: _inv.pair_invariant(s, i, j)
+            return _Selector(lambda s: _inv.pair_invariant(s, i, j),
+                             lambda a, n: _inv._pair(a, n, i, j), 4)
         if len(indices) == 1:
-            return lambda s: _inv.single_qubit_invariant(s, indices[0])
+            i, = indices
+            return _Selector(lambda s: _inv.single_qubit_invariant(s, i),
+                             lambda a, n: _inv._single(a, n, i), 4)
         raise InvariantNotApplicableError(f"cannot parse selector {name!r}")
     raise InvariantNotApplicableError(f"unknown invariant selector {name!r}")
 
@@ -298,49 +372,52 @@ def verify_invariance(state: PureState, invariant: str, group: str,
     LU orbits compare absolute deviations; the bilinear invariants C and Z are
     compared in modulus there because per-qubit global phases rotate their
     phase. SL orbits evaluate C/Z on the raw (unnormalized) images, compare
-    complex values, and the verdict uses the relative deviation: relative to
-    |base|, or, when C/Z is zero on ``state``, to ``raw_norm ** degree`` of
-    each image. Everything is deterministic per seed: sample k draws its
-    operator from a sub-seed derived from (seed, k).
+    complex values, and the verdict uses the relative deviation. Relative
+    deviations divide by |base|, or, when the invariant is zero on ``state``,
+    by ``raw_norm ** degree`` of each image (1 on LU orbits). The base value
+    comes from the per-operation evaluator, the images' values from the
+    batched one (see the module docstring), so a disagreement between the
+    two routes shows up as a deviation. Everything is deterministic per seed:
+    sample k draws its operator from a sub-seed derived from (seed, k).
     """
     group = group.upper()
     if group not in (LU_KIND, SL_KIND):
         raise ValueError(f"group must be LU or SL, got {group!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    fn = _parse_selector(invariant, state.n_qubits)
-    degree = _SPIN_FLIP_DEGREE.get(invariant)
-    if group == SL_KIND and degree is None:
+    n = state.n_qubits
+    reference, batched, degree = _parse_selector(invariant, n)
+    spin_flip = invariant in ("C", "Z")
+    if group == SL_KIND and not spin_flip:
         raise InvariantNotApplicableError(
             f"{invariant} is a first-kind invariant; only C and Z are tested "
             f"on SL orbits"
         )
-    modulus = degree is not None and group == LU_KIND
-    base = complex(fn(state))
+    modulus = spin_flip and group == LU_KIND
+    base = complex(reference(state))
     base_mag = abs(base)
+    per_chunk = max(1, _CHUNK_AMPLITUDES >> n)
     max_abs = 0.0
     max_rel = 0.0
-    for k in range(samples):
-        sub = _subseed(seed, k)
-        if group == LU_KIND:
-            g = random_lu(state.n_qubits, sub, global_phase=modulus)
-        else:
-            g = random_sl(state.n_qubits, sub)
-        image, raw_norm = apply_local(state, g)
-        if group == SL_KIND:
-            image = _raw_image(image, raw_norm)
-        value = complex(fn(image))
-        if modulus:
-            dev = abs(abs(value) - base_mag)
-        else:
-            dev = abs(value - base)
-        max_abs = max(max_abs, dev)
-        if base_mag > 0.0:
-            max_rel = max(max_rel, dev / base_mag)
-        elif degree is not None:
-            max_rel = max(max_rel, dev / raw_norm ** degree)
-        elif dev > 0.0:
-            max_rel = np.inf
+    for start in range(0, samples, per_chunk):
+        seeds = [_subseed(seed, k) for k in range(start, min(samples, start + per_chunk))]
+        try:
+            if group == LU_KIND:
+                ops = _draw_lu(seeds, n, modulus)
+            else:
+                ops = _draw_sl(seeds, n, _SL_SPREAD)
+            _check_ops(ops, group)
+            images, raw_norm = _images(state.amplitudes, n, ops, group)
+            values = batched(images, n)
+        except (QinvError, ValueError) as exc:
+            if start == 0:
+                raise
+            raise type(exc)(f"{exc} (samples counted from {start})") from exc
+        dev = np.abs(np.abs(values) - base_mag) if modulus else np.abs(values - base)
+        scale = base_mag if base_mag > 0.0 else raw_norm ** degree
+        # np.max, unlike max(), lets a NaN through to fail the verdict.
+        max_abs = float(np.max(dev, initial=max_abs))
+        max_rel = float(np.max(dev / scale, initial=max_rel))
     metric = "rel" if group == SL_KIND else "abs"
     chosen = max_rel if metric == "rel" else max_abs
     return VerificationReport(

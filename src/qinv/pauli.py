@@ -12,7 +12,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    HermitianViolationError,
     IndexOutOfRangeError,
     InternalDisagreementError,
     LengthMismatchError,
@@ -36,6 +35,12 @@ PAULI_BY_LETTER = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 HERMITIAN_RESIDUE_TOL = 1e-10
 UNITARY_TOL = 1e-10
+# On a stack of vectors or operators with up to this many input amplitudes,
+# ``_apply_2x2`` sums two broadcast products: 2-3x faster there than einsum,
+# which has no BLAS path for stacked operands, at the cost of a temporary as
+# large as the output. One vector under one operator (less call overhead) and
+# larger inputs (no temporary) take einsum.
+_BROADCAST_MAX_AMPLITUDES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -74,19 +79,48 @@ def _as_2x2(op: np.ndarray) -> np.ndarray:
 
 
 def _apply_2x2(amps: np.ndarray, n: int, qubit: int, op: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 operator to one qubit of a bare amplitude vector."""
+    """Apply a 2x2 operator to one qubit of bare amplitude vectors.
+
+    ``amps`` has shape (..., 2**n); ``op`` is one (2, 2) matrix or a stack
+    (..., 2, 2) whose leading axes broadcast against those of ``amps``.
+    """
     left = 1 << (qubit - 1)
     right = 1 << (n - qubit)
-    psi = amps.reshape(left, 2, right)
-    return np.einsum("ab,lbr->lar", op, psi).reshape(-1)
+    psi = amps.reshape(*amps.shape[:-1], left, 2, right)
+    if (amps.ndim == 1 and op.ndim == 2) or amps.size > _BROADCAST_MAX_AMPLITUDES:
+        out = np.einsum("...ab,...lbr->...lar", op, psi)
+    else:
+        col = op[..., None, :, :, None]
+        out = col[..., 0, :] * psi[..., 0:1, :]
+        out += col[..., 1, :] * psi[..., 1:2, :]
+    return out.reshape(*out.shape[:-3], -1)
 
 
 def _apply_factors(amps: np.ndarray, n: int, ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Apply one already-validated 2x2 factor per qubit, skipping ``PAULI_I``."""
+    """Apply one already-validated factor per qubit, skipping ``PAULI_I``.
+
+    ``ops[q - 1]`` acts on qubit q: a (2, 2) matrix, or a stack with one
+    matrix per vector of ``amps`` (see ``_apply_2x2``).
+    """
     for qubit, op in enumerate(ops, start=1):
         if op is not PAULI_I:
             amps = _apply_2x2(amps, n, qubit, op)
     return amps
+
+
+def _expectations(amps: np.ndarray, n: int, ops: Sequence[np.ndarray],
+                  what: str) -> np.ndarray:
+    """<psi|M|psi> per vector of ``amps`` (..., 2**n), M the product of ``ops``.
+
+    The imaginary residue of every value must stay below 1e-10.
+    """
+    return _real(np.vecdot(amps, _apply_factors(amps, n, ops)), what,
+                 HERMITIAN_RESIDUE_TOL)
+
+
+def _bilinears(amps: np.ndarray, n: int, ops: Sequence[np.ndarray]) -> np.ndarray:
+    """<psi|M|psi*> per vector of ``amps`` (..., 2**n), M the product of ``ops``."""
+    return np.vecdot(amps, _apply_factors(amps.conj(), n, ops))
 
 
 def _wrap(n: int, amps: np.ndarray) -> PureState:
@@ -124,13 +158,8 @@ def expectation(state: PureState, pauli: PauliString | str) -> float:
         raise LengthMismatchError(
             f"Pauli string has length {len(p)}, state has {n} qubits"
         )
-    amps = _apply_factors(state.amplitudes, n, [PAULI_BY_LETTER[c] for c in p.letters])
-    val = np.vdot(state.amplitudes, amps)
-    if abs(val.imag) > HERMITIAN_RESIDUE_TOL:
-        raise HermitianViolationError(
-            f"expectation of {p} has imaginary residue {val.imag!r}"
-        )
-    return float(val.real)
+    ops = [PAULI_BY_LETTER[c] for c in p.letters]
+    return float(_expectations(state.amplitudes, n, ops, f"expectation of {p}"))
 
 
 def bilinear(state: PureState, ops: Sequence[np.ndarray]) -> complex:
@@ -143,8 +172,7 @@ def bilinear(state: PureState, ops: Sequence[np.ndarray]) -> complex:
     n = state.n_qubits
     if len(ops) != n:
         raise LengthMismatchError(f"expected {n} operators, got {len(ops)}")
-    amps = _apply_factors(state.amplitudes.conj(), n, [_as_2x2(op) for op in ops])
-    return complex(np.vdot(state.amplitudes, amps))
+    return complex(_bilinears(state.amplitudes, n, [_as_2x2(op) for op in ops]))
 
 
 def adjoint_rotation(u: np.ndarray) -> np.ndarray:

@@ -60,13 +60,7 @@ class PureState:
                 f"expected {1 << self.n_qubits} amplitudes for "
                 f"n_qubits={self.n_qubits}, got {amps.size}"
             )
-        nsq = float(np.vdot(amps, amps).real)
-        if not math.isfinite(nsq):
-            raise NonFiniteError(f"amplitudes must be finite; squared norm is {nsq!r}")
-        if self.is_normalized and abs(nsq - 1.0) > NORM_SQ_TOL:
-            raise UnnormalizedError(
-                f"squared norm {nsq!r} deviates from 1 by more than {NORM_SQ_TOL}"
-            )
+        _check_norms(np.vdot(amps, amps).real, self.is_normalized)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -105,17 +99,7 @@ class DensityMatrix:
                 f"expected a {side}x{side} matrix for {len(kept)} kept qubits, "
                 f"got shape {m.shape}"
             )
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr!r} deviates from 1")
-        # PSD check on the Hermitized matrix; rounding makes exact PSD unattainable.
-        evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if evals.min() < -EIGENVALUE_TOL:
-            raise ValueError(
-                f"density matrix has eigenvalue {evals.min()!r} below -{EIGENVALUE_TOL}"
-            )
+        _check_density(m)
         m.setflags(write=False)
         object.__setattr__(self, "kept_qubits", kept)
         object.__setattr__(self, "matrix", m)
@@ -123,6 +107,57 @@ class DensityMatrix:
     @property
     def side(self) -> int:
         return self.matrix.shape[0]
+
+
+def _failing(bad: np.ndarray, core: int = 0) -> tuple[tuple[int, ...], str]:
+    """Index of the first failing entry of a check, and a message prefix.
+
+    ``bad`` holds one flag per checked item; axes beyond its last ``core``
+    ones stack samples. The prefix names the sample of the failure when the
+    leading axis holds more than one.
+    """
+    idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    many = bad.ndim > core and bad.shape[0] > 1
+    return idx, f"sample {idx[0]}: " if many else ""
+
+
+def _check_norms(nsq, normalized: bool) -> None:
+    """Squared norms of one vector or a stack: finite, and 1 within 1e-10
+    when ``normalized``."""
+    nsq = np.asarray(nsq)
+    dev = np.abs(nsq - 1.0)
+    if dev.max() <= NORM_SQ_TOL:  # NaN fails this test too
+        return
+    bad = ~np.isfinite(nsq)
+    if bad.any():
+        idx, at = _failing(bad)
+        raise NonFiniteError(
+            f"{at}amplitudes must be finite; squared norm is {float(nsq[idx])!r}")
+    if normalized:
+        idx, at = _failing(~(dev <= NORM_SQ_TOL))
+        raise UnnormalizedError(f"{at}squared norm {float(nsq[idx])!r} deviates "
+                                f"from 1 by more than {NORM_SQ_TOL}")
+
+
+def _check_density(m: np.ndarray) -> None:
+    """Hermitian, unit-trace and PSD checks on one density matrix or a stack
+    (..., side, side); each is written so that NaN fails it."""
+    mh = m.conj().swapaxes(-1, -2)
+    herm = np.abs(m - mh).max(axis=(-2, -1))
+    if not herm.max() <= HERMITIAN_TOL:
+        _, at = _failing(~(herm <= HERMITIAN_TOL))
+        raise ValueError(f"{at}density matrix is not Hermitian within tolerance")
+    tr = m.trace(axis1=-2, axis2=-1)
+    dev = np.abs(tr - 1.0)
+    if not dev.max() <= TRACE_TOL:
+        idx, at = _failing(~(dev <= TRACE_TOL))
+        raise ValueError(f"{at}density matrix trace {tr[idx]!r} deviates from 1")
+    # PSD check on the Hermitized matrix; rounding makes exact PSD unattainable.
+    low = np.linalg.eigvalsh((m + mh) / 2.0)[..., 0]
+    if not low.min() >= -EIGENVALUE_TOL:
+        idx, at = _failing(~(low >= -EIGENVALUE_TOL))
+        raise ValueError(
+            f"{at}density matrix has eigenvalue {low[idx]!r} below -{EIGENVALUE_TOL}")
 
 
 def new_state(n: int, amps: Iterable[complex], *, normalize: bool = False) -> PureState:
@@ -166,28 +201,31 @@ _RE_IM_WEIGHTS = np.array([[1, -1j], [1j, 1]])
 
 
 def _reduced(amps: np.ndarray, n: int, kept: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix of a bare amplitude vector over the qubits ``kept``.
+    """Reduced density matrices of bare amplitude vectors over the qubits ``kept``.
 
-    Rows and columns follow the kept qubits in increasing order, as in
-    ``partial_trace``. Each run of consecutive qubits on one side of the cut
-    shares one axis, so a pair reduction transposes an (L, 2, M, 2, R) tensor,
-    never a (2,)*n one. Real and imaginary parts go through that transpose
-    together as floats and meet in one real Gram product, so the transposed
-    array is the only copy of the state made here.
+    ``amps`` has shape (..., 2**n), C-contiguous; the result is
+    (..., side, side). Rows and columns follow the kept qubits in increasing
+    order, as in ``partial_trace``. Each run of consecutive qubits on one side
+    of the cut shares one axis, so a pair reduction transposes an
+    (L, 2, M, 2, R) tensor, never a (2,)*n one. Real and imaginary parts go
+    through that transpose together as floats and meet in one real Gram
+    product, so the transposed array is the only copy of the vectors made here.
     """
     keep = set(kept)
+    lead = amps.shape[:-1]
     dims, kept_axes, traced_axes = [], [], []
     for q in range(1, n + 1):
         if q > 1 and (q in keep) == (q - 1 in keep):
             dims[-1] *= 2
         else:
-            (kept_axes if q in keep else traced_axes).append(len(dims))
+            (kept_axes if q in keep else traced_axes).append(len(lead) + len(dims))
             dims.append(2)
     side = 1 << len(keep)
-    parts = amps.view(np.float64).reshape(*dims, 2)
-    f = parts.transpose([len(dims)] + kept_axes + traced_axes).reshape(2 * side, -1)
-    gram = (f @ f.T).reshape(2, side, 2, side)
-    return np.einsum("pq,piqj->ij", _RE_IM_WEIGHTS, gram)
+    parts = amps.view(np.float64).reshape(*lead, *dims, 2)
+    order = [*range(len(lead)), parts.ndim - 1, *kept_axes, *traced_axes]
+    f = parts.transpose(order).reshape(*lead, 2 * side, -1)
+    gram = (f @ f.swapaxes(-1, -2)).reshape(*lead, 2, side, 2, side)
+    return np.einsum("pq,...piqj->...ij", _RE_IM_WEIGHTS, gram)
 
 
 def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:

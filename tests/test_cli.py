@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from qinv import apply_local, new_state, random_lu
+from qinv import (
+    QinvError,
+    StateFileError,
+    UnnormalizedError,
+    UnnormalizedInputError,
+    apply_local,
+    new_state,
+    random_lu,
+)
 from qinv.cli import dumps_state, load_state, main, write_state
 from qinv.state import MAX_QUBITS
 
@@ -212,6 +220,34 @@ def test_verify_json_format(ghz_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert all(r["pass"] for r in payload)
     assert {r["invariant"] for r in payload} >= {"I_1", "I_{1}", "Z"}
+
+
+def test_verify_json_is_strict_on_zero_base(tmp_path, capsys):
+    # |000> has first-kind invariants that are exactly 0 (I_6, I_{1}, ...);
+    # their relative deviation must not print as the non-JSON token Infinity.
+    path = tmp_path / "zero.json"
+    write_state(new_state(3, [1, 0, 0, 0, 0, 0, 0, 0]), str(path))
+    assert main(["verify", "-s", str(path), "--samples", "10", "--format", "json"]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert all(r["pass"] for r in payload)
+
+
+def test_state_file_errors_are_qinv_errors(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{", encoding="utf-8")
+    with pytest.raises(StateFileError) as info:
+        load_state(str(bad))
+    assert isinstance(info.value, QinvError)
+    unnormalized = tmp_path / "unnormalized.json"
+    unnormalized.write_text('{"n_qubits": 1, "amplitudes": [[1, 0], [1, 0]]}',
+                            encoding="utf-8")
+    with pytest.raises(UnnormalizedInputError) as info:
+        load_state(str(unnormalized))
+    assert isinstance(info.value, UnnormalizedError)
 
 
 def test_verify_deterministic_per_seed(ghz_file, capsys):

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 import qinv
 from qinv import (
+    InternalDisagreementError,
     InvariantNotApplicableError,
     LengthMismatchError,
     LocalOperator,
@@ -22,7 +23,9 @@ from qinv import (
     random_state,
     verify_invariance,
 )
+from qinv import invariants as _inv
 from qinv import orbit as _orbit
+from qinv import pauli as _p
 
 from oracles import expm_taylor
 
@@ -367,3 +370,170 @@ def test_applicable_invariants_lists():
     names = applicable_invariants(3, "LU")
     assert names[:6] == ["I_1", "I_2", "I_3", "I_4", "I_5", "I_6"]
     assert names[-1] == "Z"
+
+
+# ---------------------------------------------------- batched campaigns
+
+def _spy_stacks(monkeypatch):
+    """Record the operator stack of every chunk a campaign validates."""
+    stacks = []
+    check = _orbit._check_ops
+
+    def spy(stack, kind):
+        stacks.append(stack.copy())
+        return check(stack, kind)
+
+    monkeypatch.setattr(_orbit, "_check_ops", spy)
+    return stacks
+
+
+@pytest.mark.parametrize("group", ["LU", "SL"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_campaign_operators_match_single_draws(monkeypatch, n, group):
+    # Sample k's operator is bit-for-bit random_lu / random_sl at its sub-seed.
+    stacks = _spy_stacks(monkeypatch)
+    state = random_state(n, 40 + n)
+    for name in applicable_invariants(n, group):
+        stacks.clear()
+        verify_invariance(state, name, group, 7, 1.0, 13)
+        (stack,) = stacks
+        for k, ops in enumerate(stack):
+            sub = _orbit._subseed(13, k)
+            if group == "LU":
+                single = random_lu(n, sub, global_phase=name in ("C", "Z"))
+            else:
+                single = random_sl(n, sub)
+            assert np.array_equal(ops, np.array(single.ops)), (name, k)
+
+
+def test_batched_sl_draw_redraws_rejected_rows_from_their_own_stream(monkeypatch):
+    rejected = []
+    cond2 = _orbit._cond2
+
+    def spy(g):
+        c = cond2(g)
+        rejected.append(int(np.sum(~(c <= _orbit._SL_SAMPLER_CONDITION_CAP))))
+        return c
+
+    monkeypatch.setattr(_orbit, "_cond2", spy)
+    seeds = [_orbit._subseed(11, k) for k in range(60)]
+    stack = _orbit._draw_sl(seeds, 8, _orbit._SL_SPREAD)
+    assert rejected[0] > 0
+    for seed, ops in zip(seeds, stack):
+        assert np.array_equal(ops, np.array(random_sl(8, seed).ops))
+
+
+@pytest.mark.parametrize("group", ["LU", "SL"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_batched_values_match_per_operation_evaluators(n, group):
+    state = random_state(n, 50 + n)
+    seeds = [_orbit._subseed(17, k) for k in range(6)]
+    for name in applicable_invariants(n, group):
+        sel = _orbit._parse_selector(name, n)
+        if group == "LU":
+            ops = _orbit._draw_lu(seeds, n, name in ("C", "Z"))
+        else:
+            ops = _orbit._draw_sl(seeds, n, _orbit._SL_SPREAD)
+        images, _ = _orbit._images(state.amplitudes, n, ops, group)
+        got = sel.batched(images, n)
+        assert got.shape == (len(seeds),)
+        for img, value in zip(images, got):
+            image = qinv.PureState(n, img, is_normalized=group == "LU")
+            want = complex(sel.reference(image))
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (name, value, want)
+
+
+def test_chunk_boundaries_do_not_change_the_report(monkeypatch):
+    s = random_state(3, 61)
+    campaigns = [("I_5", "LU"), ("I_{12}", "LU"), ("Z", "LU"), ("Z", "SL")]
+
+    def reports():
+        return [verify_invariance(s, name, group, 10, 1e-7, 5)
+                for name, group in campaigns]
+
+    whole = reports()
+    # Chunks of 3 samples: 10 is not a multiple of the chunk.
+    monkeypatch.setattr(_orbit, "_CHUNK_AMPLITUDES", 3 * 8)
+    stacks = _spy_stacks(monkeypatch)
+    assert reports() == whole
+    assert [len(st) for st in stacks] == [3, 3, 3, 1] * len(campaigns)
+
+
+def test_one_sample_per_chunk_at_large_n(monkeypatch):
+    stacks = _spy_stacks(monkeypatch)
+    n = 12
+    assert _orbit._CHUNK_AMPLITUDES >> n <= 1
+    report = verify_invariance(random_state(n, 62), "I_{1,12}", "LU", 3, 1e-9, 8)
+    assert report.passed
+    campaign = list(stacks)
+    assert [st.shape for st in campaign] == [(1, n, 2, 2)] * 3
+    for k, stack in enumerate(campaign):
+        single = random_lu(n, _orbit._subseed(8, k))
+        assert np.array_equal(stack[0], np.array(single.ops))
+
+
+def _tamper(draw, bad):
+    def tampered(*args):
+        ops = draw(*args)
+        ops[4, 1] = bad(ops[4, 1])
+        return ops
+    return tampered
+
+
+@pytest.mark.parametrize("group, bad, error, message", [
+    ("LU", lambda m: np.full((2, 2), np.nan), NotUnitaryError, "not unitary"),
+    ("LU", lambda m: 1.1 * m, NotUnitaryError, "not unitary"),
+    ("SL", lambda m: np.full((2, 2), np.nan), ValueError, "determinant"),
+    ("SL", lambda m: 2.0 * m, ValueError, "determinant"),
+])
+def test_bad_factor_in_a_campaign_stack_is_named(monkeypatch, group, bad, error, message):
+    name = "_draw_lu" if group == "LU" else "_draw_sl"
+    monkeypatch.setattr(_orbit, name, _tamper(getattr(_orbit, name), bad))
+    with pytest.raises(error, match=f"sample 4: operator 2 .*{message}"):
+        verify_invariance(random_state(3, 63), "Z", group, 10, 1e-7, 0)
+
+
+@pytest.mark.parametrize("name, routes", [("I_5", "cubic invariant"),
+                                          ("I_2", "purity of qubit 3")])
+def test_tampered_route_fails_a_batched_campaign(monkeypatch, name, routes):
+    # Shift the Pauli route of the batched evaluator only: the per-operation
+    # base value (one vector) stays intact.
+    one_point = _inv._one_point
+
+    def shifted(amps, n, i):
+        out = one_point(amps, n, i)
+        return out + 1e-6 if amps.ndim > 1 else out
+
+    monkeypatch.setattr(_inv, "_one_point", shifted)
+    with pytest.raises(InternalDisagreementError, match=f"{routes} routes disagree"):
+        verify_invariance(random_state(3, 64), name, "LU", 10, 1e-9, 0)
+
+
+def test_campaign_kernel_calls_do_not_grow_with_samples(monkeypatch):
+    # Deterministic guard on the batching: applying the images costs one
+    # _apply_2x2 call per qubit and chunk, whatever the sample count.
+    calls = []
+    apply_2x2 = _p._apply_2x2
+
+    def counting(*args):
+        calls.append(1)
+        return apply_2x2(*args)
+
+    monkeypatch.setattr(_p, "_apply_2x2", counting)
+    s = random_state(3, 65)
+    qinv.pair_invariant(s, 1, 2)
+    base_calls = len(calls)
+    calls.clear()
+    verify_invariance(s, "I_{12}", "LU", 100, 1e-9, 0)
+    chunks = -(-100 // max(1, _orbit._CHUNK_AMPLITUDES >> 3))
+    assert len(calls) - base_calls <= 3 * chunks
+
+
+def test_zero_base_lu_campaign_reports_finite_relative_deviation(zero3):
+    # |000> has I_6 = I_{i} = I_{ij} = 0 exactly; the relative figure divides
+    # by raw_norm ** degree (1 on LU images) instead of reading inf.
+    for name in applicable_invariants(3, "LU"):
+        report = verify_invariance(zero3, name, "LU", 20, 1e-9, 0)
+        assert report.passed, name
+        assert np.isfinite(report.max_rel_deviation), name
+        assert report.max_rel_deviation < 1e-12, name
