@@ -446,56 +446,58 @@ def invariant_report(state: PureState, seed: int | None = None) -> InvariantRepo
 # (samples, 2**n), for ``verify_invariance``. Each runs the checks of its
 # per-operation counterpart on every vector: reductions pass the
 # DensityMatrix checks, correlators the imaginary-residue check, and dual
-# routes their agreement check. The per-operation functions above stay the
-# reference the base value of a campaign comes from.
+# routes their agreement check. ``first`` is the number of the stack's first
+# sample, which a failed check names. The per-operation functions above stay
+# the reference the base value of a campaign comes from.
 
-def _density(amps: np.ndarray, n: int, kept: tuple[int, ...]) -> np.ndarray:
+def _density(amps: np.ndarray, n: int, kept: tuple[int, ...], first: int) -> np.ndarray:
     """Reduced density matrices of a stack, with the DensityMatrix checks."""
     rho = _s._reduced(amps, n, kept)
-    _s._check_density(rho)
+    _s._check_density(rho, first)
     return rho
 
 
-def _agree(what: str, **routes: np.ndarray) -> None:
+def _agree(what: str, first: int, **routes: np.ndarray) -> None:
     """Raise InternalDisagreementError where two routes differ by more than 1e-10."""
     (name_a, a), (name_b, b) = routes.items()
     bad = ~(np.abs(a - b) <= INTERNAL_TOL)
     if bad.any():
-        idx, at = _s._failing(bad)
+        idx, at = _s._failing(bad, first=first)
         raise InternalDisagreementError(
             f"{at}{what} routes disagree: {name_a}={float(a[idx])!r} "
             f"{name_b}={float(b[idx])!r}")
 
 
-def _single(amps: np.ndarray, n: int, i: int) -> np.ndarray:
-    t = _correlators(_density(amps, n, (i,)), _ONE_POINT_ROWS,
+def _single(amps: np.ndarray, n: int, i: int, first: int) -> np.ndarray:
+    t = _correlators(_density(amps, n, (i,), first), _ONE_POINT_ROWS,
                      f"one-point expectations of qubit {i}")
     return 1.0 - np.sum(t**2, axis=-1)
 
 
-def _pair(amps: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    t = _correlators(_density(amps, n, (i, j)), _TWO_POINT_ROWS,
+def _pair(amps: np.ndarray, n: int, i: int, j: int, first: int) -> np.ndarray:
+    t = _correlators(_density(amps, n, (i, j), first), _TWO_POINT_ROWS,
                      f"two-point block ({i}, {j})")
     return 1.0 - np.sum(t**2, axis=(-2, -1))
 
 
-def _purity(amps: np.ndarray, n: int, qubit: int) -> np.ndarray:
+def _purity(amps: np.ndarray, n: int, qubit: int, first: int) -> np.ndarray:
     """tr(rho^2) of one qubit, checked against its Pauli-expectation form."""
-    rho = _density(amps, n, (qubit,))
+    rho = _density(amps, n, (qubit,), first)
     via_purity = _s._real(np.einsum("...ij,...ji->...", rho, rho), "tr(rho^2)")
     via_pauli = 0.5 * (1.0 + np.sum(_one_point(amps, n, qubit) ** 2, axis=-1))
-    _agree(f"purity of qubit {qubit}", purity=via_purity, pauli=via_pauli)
+    _agree(f"purity of qubit {qubit}", first, purity=via_purity, pauli=via_pauli)
     return via_purity
 
 
-def _cubic(amps: np.ndarray, n: int) -> np.ndarray:
+def _cubic(amps: np.ndarray, n: int, first: int) -> np.ndarray:
     """``cubic_invariant`` (density route), checked against the Pauli route."""
-    rho_a, rho_b, rho_ab = (_density(amps, n, kept) for kept in ((1,), (2,), (1, 2)))
+    rho_a, rho_b, rho_ab = (_density(amps, n, kept, first)
+                            for kept in ((1,), (2,), (1, 2)))
     kron = np.einsum("...ij,...kl->...ikjl", rho_a, rho_b).reshape(rho_ab.shape)
     cross = _s._real(np.einsum("...ij,...ji->...", kron, rho_ab), "cross term")
     cube_a, cube_b = (_s._real(np.trace(r @ r @ r, axis1=-2, axis2=-1), "tr(rho^3)")
                       for r in (rho_a, rho_b))
     via_density = 3.0 * cross - cube_a - cube_b
     via_pauli = 0.25 * (1.0 + 3.0 * _triple_correlation(amps, n, 1, 2))
-    _agree("cubic invariant", density=via_density, pauli=via_pauli)
+    _agree("cubic invariant", first, density=via_density, pauli=via_pauli)
     return via_density

@@ -35,7 +35,6 @@ from .errors import (
     InvariantNotApplicableError,
     LengthMismatchError,
     NotUnitaryError,
-    QinvError,
     TooLargeError,
 )
 from .state import PureState
@@ -96,19 +95,20 @@ def _expm_traceless(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_ops(stack: np.ndarray, kind: str) -> None:
-    """Validate local operators (..., n, 2, 2) in one pass over the stack.
+def _check_ops(stack: np.ndarray, kind: str, first: int = 0) -> None:
+    """Validate local operators, (n, 2, 2) or a stack (samples, n, 2, 2)
+    numbered from ``first``, in one pass.
 
     LU factors must be unitary; SL factors need determinant one and a
     condition number of at most 100. Every check is written as ~(x <= tol)
     so that NaN fails it. The message names the first failing factor by its
-    1-based index, and its sample when the stack holds several.
+    1-based index, and its sample in a stack.
     """
     if kind == LU_KIND:
         gram = np.einsum("...ki,...kj->...ij", stack.conj(), stack)
         bad = ~(np.max(np.abs(gram - np.eye(2)), axis=(-2, -1)) <= _UNIT_TOL)
         if bad.any():
-            idx, at = _s._failing(bad, core=1)
+            idx, at = _s._failing(bad, core=1, first=first)
             raise NotUnitaryError(
                 f"{at}operator {idx[-1] + 1} is not unitary within {_UNIT_TOL:g}")
         return
@@ -116,7 +116,7 @@ def _check_ops(stack: np.ndarray, kind: str) -> None:
     bad_det = ~(np.abs(det - 1.0) <= _UNIT_TOL)
     bad = bad_det | ~(_cond2(stack) <= _SL_CONDITION_CAP)
     if bad.any():
-        idx, at = _s._failing(bad, core=1)
+        idx, at = _s._failing(bad, core=1, first=first)
         if bad_det[idx]:
             raise ValueError(f"{at}operator {idx[-1] + 1} has determinant "
                              f"{complex(det[idx])!r}, expected 1")
@@ -213,13 +213,15 @@ def random_lu(n: int, seed: int, global_phase: bool = False) -> LocalOperator:
     return LocalOperator(tuple(_draw_lu([seed], n, global_phase)[0]), LU_KIND)
 
 
-def _draw_sl(seeds: Sequence[int], n: int, spread: float) -> np.ndarray:
+def _draw_sl(seeds: Sequence[int], n: int, spread: float,
+             first: int | None = None) -> np.ndarray:
     """The factors ``random_sl`` builds for each seed, unvalidated:
     shape (len(seeds), n, 2, 2).
 
     Each seed has its own generator. An attempt draws, from each generator,
     that sample's still-pending qubits in increasing order, then builds and
-    tests every drawn row of every sample at once.
+    tests every drawn row of every sample at once. A campaign passes the
+    number of its first sample as ``first``, for the error message.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
     ops = np.empty((len(seeds) * n, 2, 2), dtype=np.complex128)
@@ -243,7 +245,7 @@ def _draw_sl(seeds: Sequence[int], n: int, spread: float) -> np.ndarray:
         if pending.size == 0:
             return ops.reshape(len(seeds), n, 2, 2)
     sample, qubit = divmod(int(pending[0]), n)
-    at = f"sample {sample}: " if len(seeds) > 1 else ""
+    at = "" if first is None else f"sample {first + sample}: "
     raise ConditioningFailureError(
         f"{at}no acceptable operator for qubit {qubit + 1} after "
         f"{_SL_MAX_ATTEMPTS} draws"
@@ -265,16 +267,18 @@ def random_sl(n: int, seed: int, spread: float = _SL_SPREAD) -> LocalOperator:
     return LocalOperator(tuple(_draw_sl([seed], n, spread)[0]), SL_KIND)
 
 
-def _images(amps: np.ndarray, n: int, ops: np.ndarray,
-            kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Images of one amplitude vector under local operators (..., n, 2, 2).
+def _images(amps: np.ndarray, n: int, ops: np.ndarray, kind: str,
+            first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Images of one amplitude vector under a local operator (n, 2, 2) or a
+    stack of them (samples, n, 2, 2) numbered from ``first``.
 
-    Returns the raw images (..., 2**n) and their norms. Every image must be
-    finite, and an LU image normalized within 1e-10 (the PureState checks).
+    Returns the raw images (2**n or (samples, 2**n)) and their norms. Every
+    image must be finite, and an LU image normalized within 1e-10 (the
+    PureState checks).
     """
     out = _p._apply_factors(amps, n, ops.swapaxes(0, -3))
-    nsq = np.vecdot(out, out).real
-    _s._check_norms(nsq, kind == LU_KIND)
+    nsq = _s._vdots(out, out).real
+    _s._check_norms(nsq, kind == LU_KIND, first)
     return out, np.sqrt(nsq)
 
 
@@ -305,13 +309,14 @@ class _Selector(NamedTuple):
     """How ``verify_invariance`` evaluates one invariant."""
 
     reference: Callable[[PureState], complex]  # per-operation route: the base value
-    batched: Callable[[np.ndarray, int], np.ndarray]  # per row of (samples, 2**n)
+    # (images (samples, 2**n), n, number of the first sample) -> one value per row
+    batched: Callable[[np.ndarray, int, int], np.ndarray]
     degree: int  # polynomial degree in the amplitudes
 
 
 def _purity_of(qubit: int) -> _Selector:
     return _Selector(lambda s: _s.purity(_s.partial_trace(s, {qubit})),
-                     lambda a, n: _inv._purity(a, n, qubit), 4)
+                     lambda a, n, first: _inv._purity(a, n, qubit, first), 4)
 
 
 # A value of degree k on a vector of norm r is rounded at the scale r**k,
@@ -320,14 +325,17 @@ def _purity_of(qubit: int) -> _Selector:
 # attribute, so that a wrapper installed there sees the call.
 _SELECTORS = {
     "I_1": _Selector(lambda s: float(np.vdot(s.amplitudes, s.amplitudes).real),
-                     lambda a, n: np.vecdot(a, a).real, 2),
+                     lambda a, n, first: _s._vdots(a, a).real, 2),
     "I_2": _purity_of(3),
     "I_3": _purity_of(2),
     "I_4": _purity_of(1),
     "I_5": _Selector(lambda s: _inv.cubic_invariant(s), _inv._cubic, 6),
-    "I_6": _Selector(lambda s: _inv.three_tangle(s), lambda a, n: _inv._tangle(a), 4),
-    "C": _Selector(lambda s: _inv.concurrence(s), _inv._concurrence, 2),
-    "Z": _Selector(lambda s: _inv.odd_tangle(s), _inv._odd_tangle, 4),
+    "I_6": _Selector(lambda s: _inv.three_tangle(s),
+                     lambda a, n, first: _inv._tangle(a), 4),
+    "C": _Selector(lambda s: _inv.concurrence(s),
+                   lambda a, n, first: _inv._concurrence(a, n), 2),
+    "Z": _Selector(lambda s: _inv.odd_tangle(s),
+                   lambda a, n, first: _inv._odd_tangle(a, n), 4),
 }
 
 
@@ -356,11 +364,11 @@ def _parse_selector(name: str, n: int) -> _Selector:
         if len(indices) == 2:
             i, j = indices
             return _Selector(lambda s: _inv.pair_invariant(s, i, j),
-                             lambda a, n: _inv._pair(a, n, i, j), 4)
+                             lambda a, n, first: _inv._pair(a, n, i, j, first), 4)
         if len(indices) == 1:
             i, = indices
             return _Selector(lambda s: _inv.single_qubit_invariant(s, i),
-                             lambda a, n: _inv._single(a, n, i), 4)
+                             lambda a, n, first: _inv._single(a, n, i, first), 4)
         raise InvariantNotApplicableError(f"cannot parse selector {name!r}")
     raise InvariantNotApplicableError(f"unknown invariant selector {name!r}")
 
@@ -401,18 +409,13 @@ def verify_invariance(state: PureState, invariant: str, group: str,
     max_rel = 0.0
     for start in range(0, samples, per_chunk):
         seeds = [_subseed(seed, k) for k in range(start, min(samples, start + per_chunk))]
-        try:
-            if group == LU_KIND:
-                ops = _draw_lu(seeds, n, modulus)
-            else:
-                ops = _draw_sl(seeds, n, _SL_SPREAD)
-            _check_ops(ops, group)
-            images, raw_norm = _images(state.amplitudes, n, ops, group)
-            values = batched(images, n)
-        except (QinvError, ValueError) as exc:
-            if start == 0:
-                raise
-            raise type(exc)(f"{exc} (samples counted from {start})") from exc
+        if group == LU_KIND:
+            ops = _draw_lu(seeds, n, modulus)
+        else:
+            ops = _draw_sl(seeds, n, _SL_SPREAD, start)
+        _check_ops(ops, group, start)
+        images, raw_norm = _images(state.amplitudes, n, ops, group, start)
+        values = batched(images, n, start)
         dev = np.abs(np.abs(values) - base_mag) if modulus else np.abs(values - base)
         scale = base_mag if base_mag > 0.0 else raw_norm ** degree
         # np.max, unlike max(), lets a NaN through to fail the verdict.

@@ -17,7 +17,7 @@ from .errors import (
     LengthMismatchError,
     NotUnitaryError,
 )
-from .state import PureState, _real
+from .state import PureState, _real, _vdots
 
 PAULI_I = np.array([[1, 0], [0, 1]], dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -35,12 +35,6 @@ PAULI_BY_LETTER = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 HERMITIAN_RESIDUE_TOL = 1e-10
 UNITARY_TOL = 1e-10
-# On a stack of vectors or operators with up to this many input amplitudes,
-# ``_apply_2x2`` sums two broadcast products: 2-3x faster there than einsum,
-# which has no BLAS path for stacked operands, at the cost of a temporary as
-# large as the output. One vector under one operator (less call overhead) and
-# larger inputs (no temporary) take einsum.
-_BROADCAST_MAX_AMPLITUDES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -83,11 +77,15 @@ def _apply_2x2(amps: np.ndarray, n: int, qubit: int, op: np.ndarray) -> np.ndarr
 
     ``amps`` has shape (..., 2**n); ``op`` is one (2, 2) matrix or a stack
     (..., 2, 2) whose leading axes broadcast against those of ``amps``.
+    One operator on one vector (either may be a stack of one) goes through
+    einsum. Stacks sum two broadcast products instead, 2-3x faster than
+    einsum, which has no BLAS path for stacked operands; their temporary is
+    as large as the output, which campaign chunking keeps small.
     """
     left = 1 << (qubit - 1)
     right = 1 << (n - qubit)
     psi = amps.reshape(*amps.shape[:-1], left, 2, right)
-    if (amps.ndim == 1 and op.ndim == 2) or amps.size > _BROADCAST_MAX_AMPLITUDES:
+    if op.size == 4 and amps.size == 1 << n:
         out = np.einsum("...ab,...lbr->...lar", op, psi)
     else:
         col = op[..., None, :, :, None]
@@ -114,13 +112,13 @@ def _expectations(amps: np.ndarray, n: int, ops: Sequence[np.ndarray],
 
     The imaginary residue of every value must stay below 1e-10.
     """
-    return _real(np.vecdot(amps, _apply_factors(amps, n, ops)), what,
+    return _real(_vdots(amps, _apply_factors(amps, n, ops)), what,
                  HERMITIAN_RESIDUE_TOL)
 
 
 def _bilinears(amps: np.ndarray, n: int, ops: Sequence[np.ndarray]) -> np.ndarray:
     """<psi|M|psi*> per vector of ``amps`` (..., 2**n), M the product of ``ops``."""
-    return np.vecdot(amps, _apply_factors(amps.conj(), n, ops))
+    return _vdots(amps, _apply_factors(amps.conj(), n, ops))
 
 
 def _wrap(n: int, amps: np.ndarray) -> PureState:

@@ -109,53 +109,63 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def _failing(bad: np.ndarray, core: int = 0) -> tuple[tuple[int, ...], str]:
+def _failing(bad: np.ndarray, core: int = 0,
+             first: int = 0) -> tuple[tuple[int, ...], str]:
     """Index of the first failing entry of a check, and a message prefix.
 
-    ``bad`` holds one flag per checked item; axes beyond its last ``core``
-    ones stack samples. The prefix names the sample of the failure when the
-    leading axis holds more than one.
+    ``bad`` holds one flag per checked item. When it has an axis before its
+    last ``core`` ones, that leading axis stacks samples numbered from
+    ``first``, and the prefix names the failing sample.
     """
     idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    many = bad.ndim > core and bad.shape[0] > 1
-    return idx, f"sample {idx[0]}: " if many else ""
+    return idx, f"sample {first + idx[0]}: " if bad.ndim > core else ""
 
 
-def _check_norms(nsq, normalized: bool) -> None:
+def _vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """conj(a) . b over the last axis: np.vdot for one pair of vectors, one
+    value per pair for stacks. The stacked form is a batched matmul of row by
+    column, which gives each pair bit for bit what np.vdot gives it."""
+    if a.ndim == 1 and b.ndim == 1:
+        return np.vdot(a, b)
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _check_norms(nsq, normalized: bool, first: int = 0) -> None:
     """Squared norms of one vector or a stack: finite, and 1 within 1e-10
-    when ``normalized``."""
+    when ``normalized``. ``first`` numbers the samples of a stack."""
     nsq = np.asarray(nsq)
     dev = np.abs(nsq - 1.0)
     if dev.max() <= NORM_SQ_TOL:  # NaN fails this test too
         return
     bad = ~np.isfinite(nsq)
     if bad.any():
-        idx, at = _failing(bad)
+        idx, at = _failing(bad, first=first)
         raise NonFiniteError(
             f"{at}amplitudes must be finite; squared norm is {float(nsq[idx])!r}")
     if normalized:
-        idx, at = _failing(~(dev <= NORM_SQ_TOL))
+        idx, at = _failing(~(dev <= NORM_SQ_TOL), first=first)
         raise UnnormalizedError(f"{at}squared norm {float(nsq[idx])!r} deviates "
                                 f"from 1 by more than {NORM_SQ_TOL}")
 
 
-def _check_density(m: np.ndarray) -> None:
+def _check_density(m: np.ndarray, first: int = 0) -> None:
     """Hermitian, unit-trace and PSD checks on one density matrix or a stack
-    (..., side, side); each is written so that NaN fails it."""
+    (samples, side, side) numbered from ``first``; each is written so that
+    NaN fails it."""
     mh = m.conj().swapaxes(-1, -2)
     herm = np.abs(m - mh).max(axis=(-2, -1))
     if not herm.max() <= HERMITIAN_TOL:
-        _, at = _failing(~(herm <= HERMITIAN_TOL))
+        _, at = _failing(~(herm <= HERMITIAN_TOL), first=first)
         raise ValueError(f"{at}density matrix is not Hermitian within tolerance")
     tr = m.trace(axis1=-2, axis2=-1)
     dev = np.abs(tr - 1.0)
     if not dev.max() <= TRACE_TOL:
-        idx, at = _failing(~(dev <= TRACE_TOL))
+        idx, at = _failing(~(dev <= TRACE_TOL), first=first)
         raise ValueError(f"{at}density matrix trace {tr[idx]!r} deviates from 1")
     # PSD check on the Hermitized matrix; rounding makes exact PSD unattainable.
     low = np.linalg.eigvalsh((m + mh) / 2.0)[..., 0]
     if not low.min() >= -EIGENVALUE_TOL:
-        idx, at = _failing(~(low >= -EIGENVALUE_TOL))
+        idx, at = _failing(~(low >= -EIGENVALUE_TOL), first=first)
         raise ValueError(
             f"{at}density matrix has eigenvalue {low[idx]!r} below -{EIGENVALUE_TOL}")
 

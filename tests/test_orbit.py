@@ -379,9 +379,9 @@ def _spy_stacks(monkeypatch):
     stacks = []
     check = _orbit._check_ops
 
-    def spy(stack, kind):
+    def spy(stack, *args):
         stacks.append(stack.copy())
-        return check(stack, kind)
+        return check(stack, *args)
 
     monkeypatch.setattr(_orbit, "_check_ops", spy)
     return stacks
@@ -435,7 +435,7 @@ def test_batched_values_match_per_operation_evaluators(n, group):
         else:
             ops = _orbit._draw_sl(seeds, n, _orbit._SL_SPREAD)
         images, _ = _orbit._images(state.amplitudes, n, ops, group)
-        got = sel.batched(images, n)
+        got = sel.batched(images, n, 0)
         assert got.shape == (len(seeds),)
         for img, value in zip(images, got):
             image = qinv.PureState(n, img, is_normalized=group == "LU")
@@ -472,10 +472,15 @@ def test_one_sample_per_chunk_at_large_n(monkeypatch):
         assert np.array_equal(stack[0], np.array(single.ops))
 
 
-def _tamper(draw, bad):
-    def tampered(*args):
-        ops = draw(*args)
-        ops[4, 1] = bad(ops[4, 1])
+def _tamper(draw, bad, sample=4, seed=0):
+    """Wrap a campaign draw so that factor 2 of ``sample`` turns ``bad``."""
+    target = _orbit._subseed(seed, sample)
+
+    def tampered(seeds, *args):
+        ops = draw(seeds, *args)
+        if target in seeds:
+            row = seeds.index(target)
+            ops[row, 1] = bad(ops[row, 1])
         return ops
     return tampered
 
@@ -493,6 +498,22 @@ def test_bad_factor_in_a_campaign_stack_is_named(monkeypatch, group, bad, error,
         verify_invariance(random_state(3, 63), "Z", group, 10, 1e-7, 0)
 
 
+@pytest.mark.parametrize("group", ["LU", "SL"])
+def test_bad_factor_is_named_by_its_campaign_sample(monkeypatch, group):
+    # Sample 4 sits in the second chunk of 3 samples, and at n = 12 every
+    # chunk holds one sample: messages count samples from the campaign start.
+    name = "_draw_lu" if group == "LU" else "_draw_sl"
+    draw = getattr(_orbit, name)
+    monkeypatch.setattr(_orbit, name, _tamper(draw, lambda m: 2.0 * m))
+    monkeypatch.setattr(_orbit, "_CHUNK_AMPLITUDES", 3 * 8)
+    with pytest.raises(ValueError, match="^sample 4: operator 2 "):
+        verify_invariance(random_state(3, 66), "Z", group, 10, 1e-7, 0)
+    monkeypatch.undo()
+    monkeypatch.setattr(_orbit, name, _tamper(draw, lambda m: 2.0 * m, sample=2))
+    with pytest.raises(ValueError, match="^sample 2: operator 2 "):
+        verify_invariance(random_state(12, 67), "C", group, 4, 1e-7, 0)
+
+
 @pytest.mark.parametrize("name, routes", [("I_5", "cubic invariant"),
                                           ("I_2", "purity of qubit 3")])
 def test_tampered_route_fails_a_batched_campaign(monkeypatch, name, routes):
@@ -507,6 +528,13 @@ def test_tampered_route_fails_a_batched_campaign(monkeypatch, name, routes):
     monkeypatch.setattr(_inv, "_one_point", shifted)
     with pytest.raises(InternalDisagreementError, match=f"{routes} routes disagree"):
         verify_invariance(random_state(3, 64), name, "LU", 10, 1e-9, 0)
+    # A chunk starting at sample 5 names its samples from 5 on.
+    s = random_state(3, 64)
+    ops = _orbit._draw_lu([_orbit._subseed(0, k) for k in range(5, 10)], 3, False)
+    images, _ = _orbit._images(s.amplitudes, 3, ops, "LU", 5)
+    with pytest.raises(InternalDisagreementError,
+                       match=f"^sample 5: {routes} routes disagree"):
+        _orbit._parse_selector(name, 3).batched(images, 3, 5)
 
 
 def test_campaign_kernel_calls_do_not_grow_with_samples(monkeypatch):
