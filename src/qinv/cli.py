@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -150,6 +151,17 @@ def _at_least(low: int):
 
 
 _seed = _at_least(0)
+
+
+def _tolerance(text: str) -> float:
+    """argparse ``type=``: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return value
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -303,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_state_arg(p_verify)
     p_verify.add_argument("--group", choices=("lu", "sl"), default="lu")
     p_verify.add_argument("--samples", type=_at_least(1), default=100)
-    p_verify.add_argument("--tol", type=float, default=None,
+    p_verify.add_argument("--tol", type=_tolerance, default=None,
                           help="pass tolerance (default 1e-9 for lu, 1e-7 for sl)")
     p_verify.add_argument("--seed", type=_seed, default=None,
                           help=f"sampling seed (default ${SEED_ENV_VAR} or 0)")
@@ -314,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="compare the invariant fingerprints of two states")
     p_compare.add_argument("path_a")
     p_compare.add_argument("path_b")
-    p_compare.add_argument("--tol", type=float, default=DEFAULT_COMPARE_TOL)
+    p_compare.add_argument("--tol", type=_tolerance, default=DEFAULT_COMPARE_TOL)
     p_compare.add_argument("--normalize", action="store_true")
     p_compare.set_defaults(func=cmd_compare)
 

@@ -6,6 +6,7 @@ three-tangle polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -251,12 +252,17 @@ def pair_tangle(state: PureState, pair: str = "AB") -> complex:
     if pair not in _PAIR_TANGLE_SLOT:
         raise ValueError(f"pair must be one of AB, AC, BC, got {pair!r}")
     _check_normalized(state)
-    slot = _PAIR_TANGLE_SLOT[pair]
+    return complex(_pair_tangle(state.amplitudes, _PAIR_TANGLE_SLOT[pair]))
+
+
+def _pair_tangle(amps: np.ndarray, slot: int) -> np.ndarray:
+    """``pair_tangle`` per vector of ``amps`` (..., 8), with the free slot on
+    qubit ``slot``."""
     total = 0.0 + 0.0j
     for slot_op, sign in ((PAULI_X, 1.0), (PAULI_Z, 1.0), (PAULI_I, -1.0)):
         ops = [_p.PAULI_Y] * 3
         ops[slot - 1] = slot_op
-        total += sign * _p.bilinear(state, ops) ** 2
+        total = total + sign * _p._bilinears(amps, 3, ops) ** 2
     return total
 
 
@@ -300,92 +306,156 @@ def invariant_count(n: int) -> int:
     return 2 ** (n + 1) - (3 * n + 1)
 
 
-def _purity_pauli_form(state: PureState, i: int) -> float:
-    """tr(rho_i^2) via (1 + sum_a <sigma_{i,a}>^2) / 2."""
-    one = _one_point(state.amplitudes, state.n_qubits, i)
-    return float(0.5 * (1.0 + np.sum(one**2)))
+# Batched evaluators: one value per vector of ``amps`` (..., 2**n), a single
+# vector for the report and a stack of images (samples, 2**n) for a campaign.
+# Each runs the checks of its per-operation counterpart on every vector:
+# reductions pass the DensityMatrix checks, correlators the imaginary-residue
+# check, and dual routes their agreement check. ``first`` is the number of a
+# campaign stack's first sample, which a failed check names; it is None for
+# one vector.
+
+def _density(amps: np.ndarray, n: int, kept: tuple[int, ...],
+             first: int | None) -> np.ndarray:
+    """Reduced density matrices over ``kept``, with the DensityMatrix checks."""
+    rho = _s._reduced(amps, n, kept)
+    _s._check_density(rho, first)
+    return rho
 
 
-def three_qubit_suite(state: PureState) -> InvariantReport:
-    """The six independent local invariants I_1..I_6 of a three-qubit state.
-
-    I_1 = <psi|psi>; I_2..I_4 = tr rho^2 of qubits 3, 2, 1 (each checked
-    against its Pauli-expectation form to 1e-10); I_5 = cubic invariant;
-    I_6 = three-tangle, checked against |pair_tangle(AB)| to 1e-9.
-    """
-    if state.n_qubits != 3:
-        raise WrongQubitCountError(
-            f"the suite is defined for 3 qubits, got {state.n_qubits}"
-        )
-    _check_normalized(state)
-    i1 = float(np.vdot(state.amplitudes, state.amplitudes).real)
-    entries: dict[str, ReportEntry] = {"I_1": ReportEntry(i1, "real")}
-    for name, qubit in (("I_2", 3), ("I_3", 2), ("I_4", 1)):
-        via_purity = purity(partial_trace(state, {qubit}))
-        via_pauli = _purity_pauli_form(state, qubit)
-        if abs(via_purity - via_pauli) > INTERNAL_TOL:
-            raise InternalDisagreementError(
-                f"{name} routes disagree: purity={via_purity!r} pauli={via_pauli!r}"
-            )
-        entries[name] = ReportEntry(via_purity, "real")
-    entries["I_5"] = ReportEntry(cubic_invariant(state), "real")
-    tangle_poly = three_tangle(state)
-    tangle_bilinear = abs(pair_tangle(state, "AB"))
-    if abs(tangle_poly - tangle_bilinear) > TANGLE_TOL:
+def _agree(what: str, first: int | None, tol: float, **routes: np.ndarray) -> None:
+    """Raise InternalDisagreementError where two routes differ by more than ``tol``."""
+    (name_a, a), (name_b, b) = routes.items()
+    bad = ~(np.abs(a - b) <= tol)
+    if bad.any():
+        idx, at = _s._failing(bad, first=first)
         raise InternalDisagreementError(
-            f"I_6 routes disagree: polynomial={tangle_poly!r} "
-            f"bilinear={tangle_bilinear!r}"
-        )
-    entries["I_6"] = ReportEntry(tangle_poly, "real")
-    return InvariantReport(
-        n_qubits=3,
-        entries=entries,
-        tolerances={"internal_agreement": INTERNAL_TOL, "tangle_agreement": TANGLE_TOL},
-        metadata={"state_digest": state.digest()},
-    )
+            f"{at}{what} routes disagree: {name_a}={float(a[idx])!r} "
+            f"{name_b}={float(b[idx])!r}")
 
 
-# Transposed, flattened sigma_a and sigma_a (x) sigma_b: a product with a
-# flattened rho gives tr(rho sigma_a), resp. tr(rho sigma_a (x) sigma_b).
-_ONE_POINT_ROWS = _p._SIGMAS.transpose(0, 2, 1).reshape(3, 4)
-_TWO_POINT_ROWS = np.array([[np.kron(a, b).T.ravel() for b in _p._SIGMAS]
-                            for a in _p._SIGMAS])
+# Transposed, flattened Pauli products by keep-set size: sigma_a, and
+# sigma_a (x) sigma_b at row 3a + b. A product with a flattened rho gives
+# tr(rho sigma_a), resp. tr(rho sigma_a (x) sigma_b).
+_PAULI_ROWS = {
+    1: _p._SIGMAS.transpose(0, 2, 1).reshape(3, 4),
+    2: np.array([np.kron(a, b).T.ravel() for a in _p._SIGMAS for b in _p._SIGMAS]),
+}
 
 
-def _correlators(rho: np.ndarray, rows: np.ndarray, what: str) -> np.ndarray:
-    """tr(rho P) for the Pauli products P of ``rows``, over a stack of reduced
-    density matrices (..., side, side); each value must be real within 1e-10."""
-    lead = rho.shape[:-2]
-    flat = rho.reshape(*lead, -1)
-    t = flat @ rows.reshape(-1, flat.shape[-1]).T
-    return _s._real(t.reshape(*lead, *rows.shape[:-1]), what, _p.HERMITIAN_RESIDUE_TOL)
+def _correlations(amps: np.ndarray, n: int, keeps: list[tuple[int, ...]],
+                  first: int | None = None) -> np.ndarray:
+    """Pauli correlators of ``amps`` reduced to each keep-set of ``keeps``.
 
-
-def first_kind_fingerprint(state: PureState) -> tuple[np.ndarray, np.ndarray]:
-    """All one-point and two-point Pauli expectations, read off reduced states.
-
-    Returns ``(singles, pairs)`` where ``singles[i-1, a]`` is <sigma_{i,a}> =
-    tr(rho_i sigma_a) and ``pairs[i-1, j-1]`` (i < j only; other blocks are
-    NaN) is the 3x3 block <sigma_{i,a} sigma_{j,b}> = tr(rho_ij sigma_a (x)
-    sigma_b). There is one route at every n: each rho comes from the same
-    reduction as ``partial_trace``, which holds at most one extra copy of the
-    state at a time. This is the batch route behind ``invariant_report``; the
-    per-operation functions above stay as the independent reference path.
+    The keep-sets all have one size, 1 or 2; the result has shape
+    (..., len(keeps), 3), resp. (..., len(keeps), 9) with
+    <sigma_{i,a} sigma_{j,b}> at 3a + b. Each reduction is ``state._reduced``
+    (one copy of the vectors at a time). They are stacked, so the
+    DensityMatrix checks and the 1e-10 imaginary-residue check run once per
+    call, not once per keep-set.
     """
-    _check_normalized(state)
-    n = state.n_qubits
-    psi = state.amplitudes
-    singles = np.empty((n, 3), dtype=np.float64)
-    pairs = np.full((n, n, 3, 3), np.nan, dtype=np.float64)
+    rho = np.stack([_s._reduced(amps, n, kept) for kept in keeps], axis=-3)
+    _s._check_density(rho, first)
+    rows = _PAULI_ROWS[len(keeps[0])]
+    t = rho.reshape(-1, rows.shape[1]) @ rows.T
+    return _s._real(t.reshape(*rho.shape[:-2], -1),
+                    f"{len(keeps[0])}-point correlators", _p.HERMITIAN_RESIDUE_TOL)
+
+
+def _first_kind(amps: np.ndarray, n: int, keeps: list[tuple[int, ...]],
+                first: int | None = None) -> np.ndarray:
+    """I_{i} or I_{ij} per keep-set: 1 minus the keep-set's squared
+    correlators, shape (..., len(keeps))."""
+    return 1.0 - np.sum(_correlations(amps, n, keeps, first) ** 2, axis=-1)
+
+
+def _purity(amps: np.ndarray, n: int, qubit: int, first: int | None) -> np.ndarray:
+    """tr(rho^2) of one qubit, checked against its Pauli-expectation form."""
+    rho = _density(amps, n, (qubit,), first)
+    via_purity = _s._real(np.einsum("...ij,...ji->...", rho, rho), "tr(rho^2)")
+    via_pauli = 0.5 * (1.0 + np.sum(_one_point(amps, n, qubit) ** 2, axis=-1))
+    _agree(f"purity of qubit {qubit}", first, INTERNAL_TOL,
+           purity=via_purity, pauli=via_pauli)
+    return via_purity
+
+
+def _cubic(amps: np.ndarray, n: int, first: int | None) -> np.ndarray:
+    """``cubic_invariant`` (density route), checked against the Pauli route."""
+    rho_a, rho_b, rho_ab = (_density(amps, n, kept, first)
+                            for kept in ((1,), (2,), (1, 2)))
+    kron = np.einsum("...ij,...kl->...ikjl", rho_a, rho_b).reshape(rho_ab.shape)
+    cross = _s._real(np.einsum("...ij,...ji->...", kron, rho_ab), "cross term")
+    cube_a, cube_b = (_s._real(np.trace(r @ r @ r, axis1=-2, axis2=-1), "tr(rho^3)")
+                      for r in (rho_a, rho_b))
+    via_density = 3.0 * cross - cube_a - cube_b
+    via_pauli = 0.25 * (1.0 + 3.0 * _triple_correlation(amps, n, 1, 2))
+    _agree("cubic invariant", first, INTERNAL_TOL, density=via_density, pauli=via_pauli)
+    return via_density
+
+
+def _checked_tangle(amps: np.ndarray, first: int | None) -> np.ndarray:
+    """``three_tangle``, checked against |pair_tangle(AB)| to 1e-9."""
+    poly = _tangle(amps)
+    bilinear = np.abs(_pair_tangle(amps, _PAIR_TANGLE_SLOT["AB"]))
+    _agree("I_6", first, TANGLE_TOL, polynomial=poly, bilinear=bilinear)
+    return poly
+
+
+class Invariant(NamedTuple):
+    """One row of ``invariant_table``: what an invariant is and how to compute it."""
+
+    kind: str  # "real": first kind, LU-invariant; "complex": second kind, SLOCC
+    degree: int  # polynomial degree in the amplitudes
+    reference: Callable[[PureState], float | complex]  # per-operation route
+    # (amplitudes (..., 2**n), first sample or None) -> float or complex values by kind
+    batched: Callable[[np.ndarray, int | None], np.ndarray]
+    kept: tuple[int, ...] = ()  # the qubits an I_{i} or I_{ij} row keeps
+    # Report tolerances of the dual-route checks ``batched`` runs.
+    tolerances: tuple[tuple[str, float], ...] = ()
+
+
+_INTERNAL = (("internal_agreement", INTERNAL_TOL),)
+
+
+def invariant_table(n: int) -> dict[str, Invariant]:
+    """Every invariant of an n-qubit state, by name, in report order.
+
+    The three-qubit suite I_1..I_6 (n = 3 only), then I_{i} per qubit, I_{ij}
+    per pair, and C (even n) or Z (odd n). These names are the entries of
+    ``invariant_report`` and the selectors ``verify_invariance`` accepts.
+    References call their function through this module's globals at call
+    time, so a wrapper installed on the module sees the call.
+    """
+    table: dict[str, Invariant] = {}
+    if n == 3:
+        table["I_1"] = Invariant(
+            "real", 2, lambda s: float(np.vdot(s.amplitudes, s.amplitudes).real),
+            lambda a, first: _s._vdots(a, a).real)
+        # I_2..I_4 are the purities of qubits 3, 2, 1.
+        for name, q in (("I_2", 3), ("I_3", 2), ("I_4", 1)):
+            table[name] = Invariant(
+                "real", 4, lambda s, q=q: purity(partial_trace(s, {q})),
+                lambda a, first, q=q: _purity(a, 3, q, first), tolerances=_INTERNAL)
+        table["I_5"] = Invariant("real", 6, lambda s: cubic_invariant(s),
+                                 lambda a, first: _cubic(a, 3, first),
+                                 tolerances=_INTERNAL)
+        table["I_6"] = Invariant("real", 4, lambda s: three_tangle(s), _checked_tangle,
+                                 tolerances=(("tangle_agreement", TANGLE_TOL),))
     for i in range(1, n + 1):
-        singles[i - 1] = _correlators(_s._reduced(psi, n, (i,)), _ONE_POINT_ROWS,
-                                      f"one-point expectations of qubit {i}")
+        table[single_name(i)] = Invariant(
+            "real", 4, lambda s, i=i: single_qubit_invariant(s, i),
+            lambda a, first, k=(i,): _first_kind(a, n, [k], first)[..., 0], (i,))
     for i in range(1, n):
         for j in range(i + 1, n + 1):
-            pairs[i - 1, j - 1] = _correlators(_s._reduced(psi, n, (i, j)),
-                                               _TWO_POINT_ROWS,
-                                               f"two-point block ({i}, {j})")
-    return singles, pairs
+            table[pair_name(i, j, n)] = Invariant(
+                "real", 4, lambda s, i=i, j=j: pair_invariant(s, i, j),
+                lambda a, first, k=(i, j): _first_kind(a, n, [k], first)[..., 0], (i, j))
+    if n % 2 == 0:
+        table["C"] = Invariant("complex", 2, lambda s: concurrence(s),
+                               lambda a, first: _concurrence(a, n))
+    else:
+        table["Z"] = Invariant("complex", 4, lambda s: odd_tangle(s),
+                               lambda a, first: _odd_tangle(a, n))
+    return table
 
 
 def single_name(i: int) -> str:
@@ -401,103 +471,79 @@ def pair_name(i: int, j: int, n: int) -> str:
 
 def report_entry_names(n: int) -> list[str]:
     """Canonical entry order for an n-qubit invariant report."""
-    names: list[str] = []
-    if n == 3:
-        names += [f"I_{k}" for k in range(1, 7)]
-    names += [single_name(i) for i in range(1, n + 1)]
-    names += [pair_name(i, j, n) for i in range(1, n) for j in range(i + 1, n + 1)]
-    names.append("C" if n % 2 == 0 else "Z")
-    return names
+    return list(invariant_table(n))
+
+
+def three_qubit_suite(state: PureState) -> InvariantReport:
+    """The six independent local invariants I_1..I_6 of a three-qubit state.
+
+    I_1 = <psi|psi>; I_2..I_4 = tr rho^2 of qubits 3, 2, 1 (each checked
+    against its Pauli-expectation form to 1e-10); I_5 = cubic invariant;
+    I_6 = three-tangle, checked against |pair_tangle(AB)| to 1e-9.
+    """
+    if state.n_qubits != 3:
+        raise WrongQubitCountError(
+            f"the suite is defined for 3 qubits, got {state.n_qubits}"
+        )
+    _check_normalized(state)
+    # The suite is the real rows of the n = 3 table that keep no qubit set.
+    rows = {name: row for name, row in invariant_table(3).items()
+            if row.kind == "real" and not row.kept}
+    return InvariantReport(
+        n_qubits=3,
+        entries={name: ReportEntry(row.batched(state.amplitudes, None).item(), row.kind)
+                 for name, row in rows.items()},
+        tolerances=dict(tol for row in rows.values() for tol in row.tolerances),
+        metadata={"state_digest": state.digest()},
+    )
+
+
+def first_kind_fingerprint(state: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """All one-point and two-point Pauli expectations, read off reduced states.
+
+    Returns ``(singles, pairs)`` where ``singles[i-1, a]`` is <sigma_{i,a}> =
+    tr(rho_i sigma_a) and ``pairs[i-1, j-1]`` (i < j only; other blocks are
+    NaN) is the 3x3 block <sigma_{i,a} sigma_{j,b}> = tr(rho_ij sigma_a (x)
+    sigma_b). There is one route at every n: each rho comes from the same
+    reduction as ``partial_trace``, which holds at most one extra copy of the
+    state at a time. The per-operation functions above stay as the
+    independent reference path.
+    """
+    _check_normalized(state)
+    n = state.n_qubits
+    psi = state.amplitudes
+    singles = _correlations(psi, n, [(i,) for i in range(1, n + 1)])
+    pairs = np.full((n, n, 3, 3), np.nan, dtype=np.float64)
+    if n > 1:
+        keeps = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        pairs[np.triu_indices(n, 1)] = _correlations(psi, n, keeps).reshape(-1, 3, 3)
+    return singles, pairs
 
 
 def invariant_report(state: PureState, seed: int | None = None) -> InvariantReport:
     """Every invariant this package computes for the given state.
 
-    Entry order: the three-qubit suite first (when n = 3), then single-qubit
-    invariants, pair invariants, and the even/odd bilinear invariant C or Z.
+    One entry per row of ``invariant_table``, in its order. The I_{i} rows
+    are evaluated in one stacked call, and so are the I_{ij} rows; every
+    other row runs its batched evaluator, with its checks, on the state.
     """
     _check_normalized(state)
     n = state.n_qubits
+    psi = state.amplitudes
+    table = invariant_table(n)
+    stacked: dict[str, float] = {}
+    for size in (1, 2):
+        names = [name for name, row in table.items() if len(row.kept) == size]
+        if names:
+            values = _first_kind(psi, n, [table[name].kept for name in names])
+            stacked.update(zip(names, values))
     entries: dict[str, ReportEntry] = {}
     tolerances: dict[str, float] = {"hermitian_residue": _p.HERMITIAN_RESIDUE_TOL}
-    if n == 3:
-        suite = three_qubit_suite(state)
-        entries.update(suite.entries)
-        tolerances.update(suite.tolerances)
-    singles, pairs = first_kind_fingerprint(state)
-    for i in range(1, n + 1):
-        value = float(1.0 - np.sum(singles[i - 1] ** 2))
-        entries[single_name(i)] = ReportEntry(value, "real")
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            value = float(1.0 - np.sum(pairs[i - 1, j - 1] ** 2))
-            entries[pair_name(i, j, n)] = ReportEntry(value, "real")
-    if n % 2 == 0:
-        entries["C"] = ReportEntry(concurrence(state), "complex")
-    else:
-        entries["Z"] = ReportEntry(odd_tangle(state), "complex")
+    for name, row in table.items():
+        value = stacked[name] if row.kept else row.batched(psi, None)
+        entries[name] = ReportEntry(value.item(), row.kind)
+        tolerances.update(row.tolerances)
     metadata: dict[str, object] = {"state_digest": state.digest()}
     if seed is not None:
         metadata["seed"] = seed
     return InvariantReport(n, entries, tolerances, metadata)
-
-
-# Batched evaluators: one value per vector of a stack of amplitude vectors
-# (samples, 2**n), for ``verify_invariance``. Each runs the checks of its
-# per-operation counterpart on every vector: reductions pass the
-# DensityMatrix checks, correlators the imaginary-residue check, and dual
-# routes their agreement check. ``first`` is the number of the stack's first
-# sample, which a failed check names. The per-operation functions above stay
-# the reference the base value of a campaign comes from.
-
-def _density(amps: np.ndarray, n: int, kept: tuple[int, ...], first: int) -> np.ndarray:
-    """Reduced density matrices of a stack, with the DensityMatrix checks."""
-    rho = _s._reduced(amps, n, kept)
-    _s._check_density(rho, first)
-    return rho
-
-
-def _agree(what: str, first: int, **routes: np.ndarray) -> None:
-    """Raise InternalDisagreementError where two routes differ by more than 1e-10."""
-    (name_a, a), (name_b, b) = routes.items()
-    bad = ~(np.abs(a - b) <= INTERNAL_TOL)
-    if bad.any():
-        idx, at = _s._failing(bad, first=first)
-        raise InternalDisagreementError(
-            f"{at}{what} routes disagree: {name_a}={float(a[idx])!r} "
-            f"{name_b}={float(b[idx])!r}")
-
-
-def _single(amps: np.ndarray, n: int, i: int, first: int) -> np.ndarray:
-    t = _correlators(_density(amps, n, (i,), first), _ONE_POINT_ROWS,
-                     f"one-point expectations of qubit {i}")
-    return 1.0 - np.sum(t**2, axis=-1)
-
-
-def _pair(amps: np.ndarray, n: int, i: int, j: int, first: int) -> np.ndarray:
-    t = _correlators(_density(amps, n, (i, j), first), _TWO_POINT_ROWS,
-                     f"two-point block ({i}, {j})")
-    return 1.0 - np.sum(t**2, axis=(-2, -1))
-
-
-def _purity(amps: np.ndarray, n: int, qubit: int, first: int) -> np.ndarray:
-    """tr(rho^2) of one qubit, checked against its Pauli-expectation form."""
-    rho = _density(amps, n, (qubit,), first)
-    via_purity = _s._real(np.einsum("...ij,...ji->...", rho, rho), "tr(rho^2)")
-    via_pauli = 0.5 * (1.0 + np.sum(_one_point(amps, n, qubit) ** 2, axis=-1))
-    _agree(f"purity of qubit {qubit}", first, purity=via_purity, pauli=via_pauli)
-    return via_purity
-
-
-def _cubic(amps: np.ndarray, n: int, first: int) -> np.ndarray:
-    """``cubic_invariant`` (density route), checked against the Pauli route."""
-    rho_a, rho_b, rho_ab = (_density(amps, n, kept, first)
-                            for kept in ((1,), (2,), (1, 2)))
-    kron = np.einsum("...ij,...kl->...ikjl", rho_a, rho_b).reshape(rho_ab.shape)
-    cross = _s._real(np.einsum("...ij,...ji->...", kron, rho_ab), "cross term")
-    cube_a, cube_b = (_s._real(np.trace(r @ r @ r, axis1=-2, axis2=-1), "tr(rho^3)")
-                      for r in (rho_a, rho_b))
-    via_density = 3.0 * cross - cube_a - cube_b
-    via_pauli = 0.25 * (1.0 + 3.0 * _triple_correlation(amps, n, 1, 2))
-    _agree("cubic invariant", first, density=via_density, pauli=via_pauli)
-    return via_density

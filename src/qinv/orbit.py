@@ -22,8 +22,9 @@ per-operation route. ``random_lu``, ``random_sl``, ``LocalOperator`` and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,15 +43,16 @@ from .state import PureState
 LU_KIND = "LU"
 SL_KIND = "SL"
 
-# Type-level cap; the sampler itself rejects above 10.
-_SL_CONDITION_CAP = 100.0
-_SL_SAMPLER_CONDITION_CAP = 10.0
+_SL_CONDITION_CAP = 10.0
 _SL_MAX_ATTEMPTS = 1000
 _UNIT_TOL = 1e-10
 # Below this |d^2| the closed-form exponential switches to its Taylor series;
 # the first dropped terms, d^4/24 and d^4/120, are then below 5e-18.
 _EXPM_SERIES_CUTOFF = 1e-8
 _SL_SPREAD = 0.5
+# Invariants are O(1) on a normalized state: a base this close to 0 is rounding
+# of a zero, and dividing by it would turn rounding into a large relative change.
+_ZERO_BASE = 1e-12
 # Amplitudes per campaign chunk (64 KB of images). Larger chunks are no
 # faster, and a campaign holds a few arrays of this size at once.
 _CHUNK_AMPLITUDES = 1 << 12
@@ -100,7 +102,7 @@ def _check_ops(stack: np.ndarray, kind: str, first: int = 0) -> None:
     numbered from ``first``, in one pass.
 
     LU factors must be unitary; SL factors need determinant one and a
-    condition number of at most 100. Every check is written as ~(x <= tol)
+    condition number of at most 10. Every check is written as ~(x <= tol)
     so that NaN fails it. The message names the first failing factor by its
     1-based index, and its sample in a stack.
     """
@@ -239,7 +241,7 @@ def _draw_sl(seeds: Sequence[int], n: int, spread: float,
         g = _expm_traceless(m)
         with np.errstate(divide="ignore", invalid="ignore"):
             g /= np.sqrt(_det2(g))[:, None, None]
-        ok = _cond2(g) <= _SL_SAMPLER_CONDITION_CAP
+        ok = _cond2(g) <= _SL_CONDITION_CAP
         ops[pending[ok]] = g[ok]
         pending = pending[~ok]
         if pending.size == 0:
@@ -305,104 +307,43 @@ def _subseed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
-class _Selector(NamedTuple):
-    """How ``verify_invariance`` evaluates one invariant."""
-
-    reference: Callable[[PureState], complex]  # per-operation route: the base value
-    # (images (samples, 2**n), n, number of the first sample) -> one value per row
-    batched: Callable[[np.ndarray, int, int], np.ndarray]
-    degree: int  # polynomial degree in the amplitudes
-
-
-def _purity_of(qubit: int) -> _Selector:
-    return _Selector(lambda s: _s.purity(_s.partial_trace(s, {qubit})),
-                     lambda a, n, first: _inv._purity(a, n, qubit, first), 4)
-
-
-# A value of degree k on a vector of norm r is rounded at the scale r**k,
-# which is the relative-deviation floor when the invariant itself is zero.
-# References look their function up at call time, as the parent module's
-# attribute, so that a wrapper installed there sees the call.
-_SELECTORS = {
-    "I_1": _Selector(lambda s: float(np.vdot(s.amplitudes, s.amplitudes).real),
-                     lambda a, n, first: _s._vdots(a, a).real, 2),
-    "I_2": _purity_of(3),
-    "I_3": _purity_of(2),
-    "I_4": _purity_of(1),
-    "I_5": _Selector(lambda s: _inv.cubic_invariant(s), _inv._cubic, 6),
-    "I_6": _Selector(lambda s: _inv.three_tangle(s),
-                     lambda a, n, first: _inv._tangle(a), 4),
-    "C": _Selector(lambda s: _inv.concurrence(s),
-                   lambda a, n, first: _inv._concurrence(a, n), 2),
-    "Z": _Selector(lambda s: _inv.odd_tangle(s),
-                   lambda a, n, first: _inv._odd_tangle(a, n), 4),
-}
-
-
-def _parse_selector(name: str, n: int) -> _Selector:
-    """Map an invariant name to its evaluators and degree."""
-    if name == "C" and n % 2 != 0:
-        raise InvariantNotApplicableError(f"C needs even n, state has n={n}")
-    if name == "Z" and n % 2 == 0:
-        raise InvariantNotApplicableError(f"Z needs odd n, state has n={n}")
-    if name in _SELECTORS:
-        if name.startswith("I_") and n != 3:
-            raise InvariantNotApplicableError(f"{name} needs n=3, state has n={n}")
-        return _SELECTORS[name]
-    if name.startswith("I_{") and name.endswith("}"):
-        inner = name[3:-1]
-        if "," in inner:
-            parts = inner.split(",")
-        elif len(inner) == 2 and n <= 9:
-            parts = list(inner)
-        else:
-            parts = [inner]
-        try:
-            indices = [int(p) for p in parts]
-        except ValueError:
-            indices = []
-        if len(indices) == 2:
-            i, j = indices
-            return _Selector(lambda s: _inv.pair_invariant(s, i, j),
-                             lambda a, n, first: _inv._pair(a, n, i, j, first), 4)
-        if len(indices) == 1:
-            i, = indices
-            return _Selector(lambda s: _inv.single_qubit_invariant(s, i),
-                             lambda a, n, first: _inv._single(a, n, i, first), 4)
-        raise InvariantNotApplicableError(f"cannot parse selector {name!r}")
-    raise InvariantNotApplicableError(f"unknown invariant selector {name!r}")
-
-
 def verify_invariance(state: PureState, invariant: str, group: str,
                       samples: int, tol: float, seed: int) -> VerificationReport:
     """Sample a group orbit of ``state`` and measure how much the invariant moves.
 
-    LU orbits compare absolute deviations; the bilinear invariants C and Z are
-    compared in modulus there because per-qubit global phases rotate their
-    phase. SL orbits evaluate C/Z on the raw (unnormalized) images, compare
-    complex values, and the verdict uses the relative deviation. Relative
-    deviations divide by |base|, or, when the invariant is zero on ``state``,
-    by ``raw_norm ** degree`` of each image (1 on LU orbits). The base value
-    comes from the per-operation evaluator, the images' values from the
-    batched one (see the module docstring), so a disagreement between the
-    two routes shows up as a deviation. Everything is deterministic per seed:
-    sample k draws its operator from a sub-seed derived from (seed, k).
+    ``invariant`` names a row of ``invariants.invariant_table(n)``. LU orbits
+    compare absolute deviations; complex (second-kind) rows, the only ones
+    tested on SL orbits, are compared in modulus there because per-qubit
+    global phases rotate their phase. SL orbits evaluate them on the raw
+    (unnormalized) images, compare complex values, and the verdict uses the
+    relative deviation: it divides by |base|, or, when |base| <= 1e-12 is
+    rounding of 0, by ``raw_norm ** degree`` of each image (1 on LU orbits).
+    The base value comes from the row's per-operation reference, the images'
+    values from its batched evaluator, so a disagreement between the two
+    routes shows up as a deviation. ``tol`` must be finite and > 0. Sample k
+    draws its operator from a sub-seed derived from (seed, k).
     """
     group = group.upper()
     if group not in (LU_KIND, SL_KIND):
         raise ValueError(f"group must be LU or SL, got {group!r}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     n = state.n_qubits
-    reference, batched, degree = _parse_selector(invariant, n)
-    spin_flip = invariant in ("C", "Z")
-    if group == SL_KIND and not spin_flip:
+    row = _inv.invariant_table(n).get(invariant)
+    if row is None:
         raise InvariantNotApplicableError(
-            f"{invariant} is a first-kind invariant; only C and Z are tested "
-            f"on SL orbits"
+            f"cannot parse selector {invariant!r}: the selectors of an n={n} "
+            f"state are its report entry names")
+    second_kind = row.kind == "complex"
+    if group == SL_KIND and not second_kind:
+        raise InvariantNotApplicableError(
+            f"{invariant} is a first-kind invariant; only complex (second-kind) "
+            f"invariants are tested on SL orbits"
         )
-    modulus = spin_flip and group == LU_KIND
-    base = complex(reference(state))
+    modulus = second_kind and group == LU_KIND
+    base = complex(row.reference(state))
     base_mag = abs(base)
     per_chunk = max(1, _CHUNK_AMPLITUDES >> n)
     max_abs = 0.0
@@ -415,9 +356,9 @@ def verify_invariance(state: PureState, invariant: str, group: str,
             ops = _draw_sl(seeds, n, _SL_SPREAD, start)
         _check_ops(ops, group, start)
         images, raw_norm = _images(state.amplitudes, n, ops, group, start)
-        values = batched(images, n, start)
+        values = row.batched(images, start)
         dev = np.abs(np.abs(values) - base_mag) if modulus else np.abs(values - base)
-        scale = base_mag if base_mag > 0.0 else raw_norm ** degree
+        scale = base_mag if base_mag > _ZERO_BASE else raw_norm ** row.degree
         # np.max, unlike max(), lets a NaN through to fail the verdict.
         max_abs = float(np.max(dev, initial=max_abs))
         max_rel = float(np.max(dev / scale, initial=max_rel))
@@ -439,6 +380,5 @@ def verify_invariance(state: PureState, invariant: str, group: str,
 def applicable_invariants(n: int, group: str) -> list[str]:
     """Invariant selectors ``verify_invariance`` accepts for an n-qubit state."""
     group = group.upper()
-    if group == SL_KIND:
-        return ["C" if n % 2 == 0 else "Z"]
-    return _inv.report_entry_names(n)
+    return [name for name, row in _inv.invariant_table(n).items()
+            if group != SL_KIND or row.kind == "complex"]

@@ -110,15 +110,16 @@ class DensityMatrix:
 
 
 def _failing(bad: np.ndarray, core: int = 0,
-             first: int = 0) -> tuple[tuple[int, ...], str]:
+             first: int | None = 0) -> tuple[tuple[int, ...], str]:
     """Index of the first failing entry of a check, and a message prefix.
 
     ``bad`` holds one flag per checked item. When it has an axis before its
-    last ``core`` ones, that leading axis stacks samples numbered from
-    ``first``, and the prefix names the failing sample.
+    last ``core`` ones and ``first`` is not None, that leading axis stacks
+    samples numbered from ``first``, and the prefix names the failing sample.
     """
     idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    return idx, f"sample {first + idx[0]}: " if bad.ndim > core else ""
+    samples = first is not None and bad.ndim > core
+    return idx, f"sample {first + idx[0]}: " if samples else ""
 
 
 def _vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,10 +149,10 @@ def _check_norms(nsq, normalized: bool, first: int = 0) -> None:
                                 f"from 1 by more than {NORM_SQ_TOL}")
 
 
-def _check_density(m: np.ndarray, first: int = 0) -> None:
+def _check_density(m: np.ndarray, first: int | None = 0) -> None:
     """Hermitian, unit-trace and PSD checks on one density matrix or a stack
-    (samples, side, side) numbered from ``first``; each is written so that
-    NaN fails it."""
+    (..., side, side) whose leading axis numbers samples from ``first`` (None:
+    not a stack of samples); each is written so that NaN fails it."""
     mh = m.conj().swapaxes(-1, -2)
     herm = np.abs(m - mh).max(axis=(-2, -1))
     if not herm.max() <= HERMITIAN_TOL:

@@ -306,3 +306,16 @@ def test_negative_env_seed_exits_2(ghz_file, monkeypatch, capsys):
 def test_dumps_state_uses_17_significant_digits():
     text = dumps_state(new_state(1, [1, 0]))
     assert "1.0000000000000000e+00" in text
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9", "0", "abc"])
+@pytest.mark.parametrize("command", ["verify", "compare"])
+def test_tol_must_be_finite_and_positive(ghz_file, w_file, capsys, command, tol):
+    # A NaN tol compares false with every deviation: compare would call GHZ
+    # and W indistinguishable, and verify would fail to write strict JSON.
+    argv = (["verify", "-s", ghz_file, "--format", "json"] if command == "verify"
+            else ["compare", ghz_file, w_file])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "argument --tol" in capsys.readouterr().err

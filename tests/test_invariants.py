@@ -9,6 +9,7 @@ from qinv import (
     SameIndexError,
     UnnormalizedError,
     WrongQubitCountError,
+    applicable_invariants,
     apply_local,
     concurrence,
     cubic_invariant,
@@ -29,6 +30,8 @@ from qinv import (
     three_tangle,
     triple_correlation_sum,
 )
+from qinv import state as _s
+from qinv.invariants import invariant_table, report_entry_names
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -333,3 +336,33 @@ def test_report_single_qubit_state():
     report = invariant_report(random_state(1, 1))
     assert list(report.entries) == ["I_{1}", "Z"]
     assert complex(report.entries["Z"].value) == pytest.approx(0.0, abs=1e-12)
+
+
+# ------------------------------------------------------------ invariant table
+
+def test_one_table_drives_report_names_and_selectors():
+    for n in range(1, 11):
+        table = invariant_table(n)
+        names = list(table)
+        assert report_entry_names(n) == names
+        assert list(invariant_report(random_state(n, 70 + n)).entries) == names
+        assert applicable_invariants(n, "LU") == names
+        # SL orbits test exactly the complex (second-kind) rows: C or Z.
+        assert applicable_invariants(n, "SL") == [
+            name for name, row in table.items() if row.kind == "complex"]
+        assert applicable_invariants(n, "SL") == ["C" if n % 2 == 0 else "Z"]
+
+
+def test_report_runs_one_density_check_per_stack(monkeypatch):
+    # Deterministic guard on the stacked evaluator: all singles share one
+    # DensityMatrix check and all pairs another, whatever n is.
+    shapes = []
+    check_density = _s._check_density
+
+    def counting(m, *args):
+        shapes.append(m.shape)
+        return check_density(m, *args)
+
+    monkeypatch.setattr(_s, "_check_density", counting)
+    invariant_report(random_state(10, 80))
+    assert shapes == [(10, 2, 2), (45, 4, 4)]

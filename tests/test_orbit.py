@@ -412,7 +412,7 @@ def test_batched_sl_draw_redraws_rejected_rows_from_their_own_stream(monkeypatch
 
     def spy(g):
         c = cond2(g)
-        rejected.append(int(np.sum(~(c <= _orbit._SL_SAMPLER_CONDITION_CAP))))
+        rejected.append(int(np.sum(~(c <= _orbit._SL_CONDITION_CAP))))
         return c
 
     monkeypatch.setattr(_orbit, "_cond2", spy)
@@ -429,13 +429,13 @@ def test_batched_values_match_per_operation_evaluators(n, group):
     state = random_state(n, 50 + n)
     seeds = [_orbit._subseed(17, k) for k in range(6)]
     for name in applicable_invariants(n, group):
-        sel = _orbit._parse_selector(name, n)
+        sel = _inv.invariant_table(n)[name]
         if group == "LU":
             ops = _orbit._draw_lu(seeds, n, name in ("C", "Z"))
         else:
             ops = _orbit._draw_sl(seeds, n, _orbit._SL_SPREAD)
         images, _ = _orbit._images(state.amplitudes, n, ops, group)
-        got = sel.batched(images, n, 0)
+        got = sel.batched(images, 0)
         assert got.shape == (len(seeds),)
         for img, value in zip(images, got):
             image = qinv.PureState(n, img, is_normalized=group == "LU")
@@ -534,7 +534,7 @@ def test_tampered_route_fails_a_batched_campaign(monkeypatch, name, routes):
     images, _ = _orbit._images(s.amplitudes, 3, ops, "LU", 5)
     with pytest.raises(InternalDisagreementError,
                        match=f"^sample 5: {routes} routes disagree"):
-        _orbit._parse_selector(name, 3).batched(images, 3, 5)
+        _inv.invariant_table(3)[name].batched(images, 5)
 
 
 def test_campaign_kernel_calls_do_not_grow_with_samples(monkeypatch):
@@ -565,3 +565,54 @@ def test_zero_base_lu_campaign_reports_finite_relative_deviation(zero3):
         assert report.passed, name
         assert np.isfinite(report.max_rel_deviation), name
         assert report.max_rel_deviation < 1e-12, name
+
+
+# ------------------------------------------- invariant table and verdicts
+
+def test_near_zero_base_is_scaled_like_an_exact_zero(w3, ghz3):
+    # Z of an LU image of W_3 is rounding noise (~6e-17), not 0; dividing by
+    # it turned a 4.5e-15 deviation into max_rel 72 and an SL FAIL.
+    image, _ = apply_local(w3, random_lu(3, 5))
+    assert 0.0 < abs(qinv.odd_tangle(image)) <= 1e-12
+    report = verify_invariance(image, "Z", "SL", 100, 1e-7, 0)
+    assert report.passed
+    assert report.max_rel_deviation < 1e-12
+    # GHZ_3 I_{12} is 0 up to rounding; its LU max_rel read 3.75.
+    report = verify_invariance(ghz3, "I_{12}", "LU", 100, 1e-9, 0)
+    assert report.passed
+    assert report.max_rel_deviation < 1e-12
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9, 0.0])
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_positive(ghz3, tol):
+    with pytest.raises(ValueError, match="tol"):
+        verify_invariance(ghz3, "I_1", "LU", 5, tol, 0)
+
+
+def test_sl_factor_above_the_sampler_condition_cap_is_rejected():
+    # det 1 and condition number 50: above the cap of 10 that random_sl keeps.
+    factor = np.diag([np.sqrt(50.0), 1.0 / np.sqrt(50.0)])
+    with pytest.raises(ValueError, match="operator 1 exceeds condition number"):
+        LocalOperator((factor,), "SL")
+
+
+@pytest.mark.parametrize("n, name", [(3, "I_{21}"), (3, "I_{1,2}"), (9, "I_{1,2}"),
+                                     (3, "I_{7}"), (3, "I_{0}"), (10, "I_{12}")])
+def test_selectors_are_exactly_the_table_names(n, name):
+    state = random_state(n, 68)
+    with pytest.raises(InvariantNotApplicableError, match="cannot parse"):
+        verify_invariance(state, name, "LU", 2, 1e-9, 0)
+
+
+def test_batched_i6_runs_the_tangle_cross_check(monkeypatch):
+    # Shift the bilinear route of stacked images only: the campaign's I_6
+    # evaluator must notice, and name the sample.
+    pair_tangle = _inv._pair_tangle
+
+    def shifted(amps, slot):
+        out = pair_tangle(amps, slot)
+        return out + 1e-6 if amps.ndim > 1 else out
+
+    monkeypatch.setattr(_inv, "_pair_tangle", shifted)
+    with pytest.raises(InternalDisagreementError, match="^sample 0: I_6 routes disagree"):
+        verify_invariance(random_state(3, 69), "I_6", "LU", 10, 1e-9, 0)
