@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -192,26 +193,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tol = args.tol if args.tol is not None else (
         DEFAULT_LU_TOL if group == "LU" else DEFAULT_SL_TOL
     )
-    seed = _resolve_seed(args)
-    reports = [
-        _orbit.verify_invariance(state, name, group, args.samples, tol, seed)
-        for name in _orbit.applicable_invariants(state.n_qubits, group)
-    ]
+    names = _orbit.applicable_invariants(state.n_qubits, group)
+    reports = _orbit._campaign(state, names, group, args.samples, tol, _resolve_seed(args))
     if args.format == "json":
-        payload = [
-            {
-                "invariant": r.invariant,
-                "group": r.group,
-                "samples": r.samples,
-                "max_abs_deviation": r.max_abs_deviation,
-                "max_rel_deviation": r.max_rel_deviation,
-                "seed": r.seed,
-                "tol": r.tol,
-                "metric": r.metric,
-                "pass": r.passed,
-            }
-            for r in reports
-        ]
+        payload = [{("pass" if k == "passed" else k): v for k, v in asdict(r).items()}
+                   for r in reports]
         print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         print(f"{'invariant':<10} {'group':<6} {'samples':<8} "
@@ -222,14 +208,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                   f"{r.tol:<10.1e} {'pass' if r.passed else 'FAIL'}")
     failures = [r for r in reports if not r.passed]
     if failures:
-        worst = max(
-            failures,
-            key=lambda r: (r.max_rel_deviation if r.metric == "rel"
-                           else r.max_abs_deviation) / r.tol,
-        )
-        dev = worst.max_rel_deviation if worst.metric == "rel" else worst.max_abs_deviation
+        worst = max(failures, key=lambda r: r.deviation / r.tol)
         print(f"FAIL: worst offender {worst.invariant} "
-              f"({worst.metric} deviation {dev:.3e} >= tol {worst.tol:.1e})",
+              f"({worst.metric} deviation {worst.deviation:.3e} >= tol {worst.tol:.1e})",
               file=sys.stderr)
         return 1
     return 0
@@ -316,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--group", choices=("lu", "sl"), default="lu")
     p_verify.add_argument("--samples", type=_at_least(1), default=100)
     p_verify.add_argument("--tol", type=_tolerance, default=None,
-                          help="pass tolerance (default 1e-9 for lu, 1e-7 for sl)")
+                          help="pass tolerance (default 1e-9 for lu, 1e-7 for sl); "
+                               "write a value that starts with '-' as --tol=VALUE")
     p_verify.add_argument("--seed", type=_seed, default=None,
                           help=f"sampling seed (default ${SEED_ENV_VAR} or 0)")
     p_verify.add_argument("--format", choices=("json", "text"), default="text")

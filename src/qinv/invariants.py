@@ -351,14 +351,17 @@ def _correlations(amps: np.ndarray, n: int, keeps: list[tuple[int, ...]],
     <sigma_{i,a} sigma_{j,b}> at 3a + b. Each reduction is ``state._reduced``
     (one copy of the vectors at a time). They are stacked, so the
     DensityMatrix checks and the 1e-10 imaginary-residue check run once per
-    call, not once per keep-set.
+    call, not once per keep-set; a failed check names the keep-set's row.
     """
     rho = np.stack([_s._reduced(amps, n, kept) for kept in keeps], axis=-3)
-    _s._check_density(rho, first)
-    rows = _PAULI_ROWS[len(keeps[0])]
-    t = rho.reshape(-1, rows.shape[1]) @ rows.T
-    return _s._real(t.reshape(*rho.shape[:-2], -1),
-                    f"{len(keeps[0])}-point correlators", _p.HERMITIAN_RESIDUE_TOL)
+    names = [single_name(*kept) if len(kept) == 1 else pair_name(*kept, n)
+             for kept in keeps]
+    _s._check_density(rho, first, names)
+    # One vector-matrix product per reduction: one matmul over all of them
+    # rounds differently when it has one row, so values would depend on stacking.
+    t = (rho.reshape(*rho.shape[:-2], 1, -1) @ _PAULI_ROWS[len(keeps[0])].T)[..., 0, :]
+    return _s._real(t, f"{len(keeps[0])}-point correlators", _p.HERMITIAN_RESIDUE_TOL,
+                    first, names)
 
 
 def _first_kind(amps: np.ndarray, n: int, keeps: list[tuple[int, ...]],
@@ -458,6 +461,21 @@ def invariant_table(n: int) -> dict[str, Invariant]:
     return table
 
 
+def _evaluate(amps: np.ndarray, n: int, rows: dict[str, Invariant],
+              first: int | None) -> dict[str, np.ndarray]:
+    """Values of table ``rows`` per vector of ``amps`` (..., 2**n), by name:
+    one stacked ``_first_kind`` call for the I_{i} rows and one for the I_{ij}
+    rows; every other row runs its batched evaluator with ``first``."""
+    values: dict[str, np.ndarray] = {}
+    for size in (1, 2):
+        names = [name for name, row in rows.items() if len(row.kept) == size]
+        if names:
+            stacked = _first_kind(amps, n, [rows[name].kept for name in names], first)
+            values.update(zip(names, np.moveaxis(stacked, -1, 0)))
+    return {name: values[name] if row.kept else row.batched(amps, first)
+            for name, row in rows.items()}
+
+
 def single_name(i: int) -> str:
     return f"I_{{{i}}}"
 
@@ -489,9 +507,10 @@ def three_qubit_suite(state: PureState) -> InvariantReport:
     # The suite is the real rows of the n = 3 table that keep no qubit set.
     rows = {name: row for name, row in invariant_table(3).items()
             if row.kind == "real" and not row.kept}
+    values = _evaluate(state.amplitudes, 3, rows, None)
     return InvariantReport(
         n_qubits=3,
-        entries={name: ReportEntry(row.batched(state.amplitudes, None).item(), row.kind)
+        entries={name: ReportEntry(values[name].item(), row.kind)
                  for name, row in rows.items()},
         tolerances=dict(tol for row in rows.values() for tol in row.tolerances),
         metadata={"state_digest": state.digest()},
@@ -523,25 +542,18 @@ def first_kind_fingerprint(state: PureState) -> tuple[np.ndarray, np.ndarray]:
 def invariant_report(state: PureState, seed: int | None = None) -> InvariantReport:
     """Every invariant this package computes for the given state.
 
-    One entry per row of ``invariant_table``, in its order. The I_{i} rows
-    are evaluated in one stacked call, and so are the I_{ij} rows; every
-    other row runs its batched evaluator, with its checks, on the state.
+    One entry per row of ``invariant_table``, in its order, evaluated by
+    ``_evaluate`` on a stack of one vector: the evaluator an orbit campaign
+    runs on its stack of images.
     """
     _check_normalized(state)
     n = state.n_qubits
-    psi = state.amplitudes
     table = invariant_table(n)
-    stacked: dict[str, float] = {}
-    for size in (1, 2):
-        names = [name for name, row in table.items() if len(row.kept) == size]
-        if names:
-            values = _first_kind(psi, n, [table[name].kept for name in names])
-            stacked.update(zip(names, values))
+    values = _evaluate(state.amplitudes, n, table, None)
     entries: dict[str, ReportEntry] = {}
     tolerances: dict[str, float] = {"hermitian_residue": _p.HERMITIAN_RESIDUE_TOL}
     for name, row in table.items():
-        value = stacked[name] if row.kept else row.batched(psi, None)
-        entries[name] = ReportEntry(value.item(), row.kind)
+        entries[name] = ReportEntry(values[name].item(), row.kind)
         tolerances.update(row.tolerances)
     metadata: dict[str, object] = {"state_digest": state.digest()}
     if seed is not None:

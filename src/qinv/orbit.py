@@ -9,21 +9,23 @@ with the 2x2 closed form exp(M) = cosh(d) I + sinh(d)/d M, d^2 = -det M,
 and are rejected on a closed-form condition number. numpy is the only
 dependency.
 
-``verify_invariance`` runs a campaign in chunks of samples (as many as keep a
-chunk within 2**12 amplitudes: 100 samples make one chunk up to n = 5, and a
-chunk holds one sample from n = 12 on). Sample k still draws from its own
-generator, seeded from (seed, k), so its operator is bit-for-bit
-``random_lu`` or ``random_sl`` at that sub-seed; everything after the draws
-runs once per chunk over a (chunk, n, 2, 2) stack of operators and a
-(chunk, 2**n) stack of images: building and validating the operators,
-applying them, and evaluating the invariant with every check of its
-per-operation route. ``random_lu``, ``random_sl``, ``LocalOperator`` and
-``apply_local`` are the one-sample case of the same code.
+A campaign checks any number of invariants of one state on one group's
+orbit; ``verify_invariance`` is its one-invariant case. It runs in chunks of
+samples (as many as keep a chunk within 2**12 amplitudes: 100 samples make
+one chunk up to n = 5, and a chunk holds one sample from n = 12 on). Sample k
+draws from its own generator, seeded from (seed, k), so its operator is
+bit-for-bit ``random_lu`` or ``random_sl`` at that sub-seed. Per chunk, each
+operator family the invariants need (LU without phases, LU with phases, SL)
+draws, validates and applies a (chunk, n, 2, 2) stack of operators once, and
+``invariants._evaluate``, the report's evaluator, evaluates all of the
+family's invariants with every check of their per-operation routes on the
+(chunk, 2**n) stack of images. ``random_lu``, ``random_sl``,
+``LocalOperator`` and ``apply_local`` are the one-sample case of the same code.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -163,6 +165,11 @@ class VerificationReport:
     tol: float
     metric: str  # deviation metric the pass verdict uses: "abs" or "rel"
     passed: bool
+
+    @property
+    def deviation(self) -> float:
+        """The deviation the verdict holds against ``tol``, chosen by ``metric``."""
+        return self.max_rel_deviation if self.metric == "rel" else self.max_abs_deviation
 
 
 def random_state(n: int, seed: int) -> PureState:
@@ -307,6 +314,14 @@ def _subseed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
 
 
+def _group(group: str) -> str:
+    """``group`` upper-cased; it must name LU or SL."""
+    kind = group.upper()
+    if kind not in (LU_KIND, SL_KIND):
+        raise ValueError(f"group must be LU or SL, got {group!r}")
+    return kind
+
+
 def verify_invariance(state: PureState, invariant: str, group: str,
                       samples: int, tol: float, seed: int) -> VerificationReport:
     """Sample a group orbit of ``state`` and measure how much the invariant moves.
@@ -323,62 +338,64 @@ def verify_invariance(state: PureState, invariant: str, group: str,
     routes shows up as a deviation. ``tol`` must be finite and > 0. Sample k
     draws its operator from a sub-seed derived from (seed, k).
     """
-    group = group.upper()
-    if group not in (LU_KIND, SL_KIND):
-        raise ValueError(f"group must be LU or SL, got {group!r}")
+    return _campaign(state, [invariant], group, samples, tol, seed)[0]
+
+
+def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
+              tol: float, seed: int) -> list[VerificationReport]:
+    """``verify_invariance`` of each of ``names``, from one campaign: per chunk,
+    each operator family draws once and ``_evaluate`` runs all its rows."""
+    group = _group(group)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     n = state.n_qubits
-    row = _inv.invariant_table(n).get(invariant)
-    if row is None:
-        raise InvariantNotApplicableError(
-            f"cannot parse selector {invariant!r}: the selectors of an n={n} "
-            f"state are its report entry names")
-    second_kind = row.kind == "complex"
-    if group == SL_KIND and not second_kind:
-        raise InvariantNotApplicableError(
-            f"{invariant} is a first-kind invariant; only complex (second-kind) "
-            f"invariants are tested on SL orbits"
-        )
-    modulus = second_kind and group == LU_KIND
-    base = complex(row.reference(state))
-    base_mag = abs(base)
+    table = _inv.invariant_table(n)
+    # Rows by family, keyed by "compared in modulus" (LU draws phases for those).
+    families: dict[bool, dict[str, _inv.Invariant]] = {}
+    for name in names:
+        row = table.get(name)
+        if row is None:
+            raise InvariantNotApplicableError(
+                f"cannot parse selector {name!r}: the selectors of an n={n} "
+                f"state are its report entry names")
+        if group == SL_KIND and row.kind != "complex":
+            raise InvariantNotApplicableError(
+                f"{name} is a first-kind invariant; only complex (second-kind) "
+                f"invariants are tested on SL orbits"
+            )
+        families.setdefault(row.kind == "complex" and group == LU_KIND, {})[name] = row
+    base = {name: complex(table[name].reference(state)) for name in names}
+    max_abs = dict.fromkeys(names, 0.0)
+    max_rel = dict.fromkeys(names, 0.0)
     per_chunk = max(1, _CHUNK_AMPLITUDES >> n)
-    max_abs = 0.0
-    max_rel = 0.0
     for start in range(0, samples, per_chunk):
         seeds = [_subseed(seed, k) for k in range(start, min(samples, start + per_chunk))]
-        if group == LU_KIND:
-            ops = _draw_lu(seeds, n, modulus)
-        else:
-            ops = _draw_sl(seeds, n, _SL_SPREAD, start)
-        _check_ops(ops, group, start)
-        images, raw_norm = _images(state.amplitudes, n, ops, group, start)
-        values = row.batched(images, start)
-        dev = np.abs(np.abs(values) - base_mag) if modulus else np.abs(values - base)
-        scale = base_mag if base_mag > _ZERO_BASE else raw_norm ** row.degree
-        # np.max, unlike max(), lets a NaN through to fail the verdict.
-        max_abs = float(np.max(dev, initial=max_abs))
-        max_rel = float(np.max(dev / scale, initial=max_rel))
+        for modulus, rows in families.items():
+            if group == LU_KIND:
+                ops = _draw_lu(seeds, n, modulus)
+            else:
+                ops = _draw_sl(seeds, n, _SL_SPREAD, start)
+            _check_ops(ops, group, start)
+            images, raw_norm = _images(state.amplitudes, n, ops, group, start)
+            for name, values in _inv._evaluate(images, n, rows, start).items():
+                base_mag = abs(base[name])
+                dev = (np.abs(np.abs(values) - base_mag) if modulus
+                       else np.abs(values - base[name]))
+                scale = base_mag if base_mag > _ZERO_BASE else raw_norm ** rows[name].degree
+                # np.max, unlike max(), lets a NaN through to fail the verdict.
+                max_abs[name] = float(np.max(dev, initial=max_abs[name]))
+                max_rel[name] = float(np.max(dev / scale, initial=max_rel[name]))
+            del images  # one family's images alive at a time
     metric = "rel" if group == SL_KIND else "abs"
-    chosen = max_rel if metric == "rel" else max_abs
-    return VerificationReport(
-        invariant=invariant,
-        group=group,
-        samples=samples,
-        max_abs_deviation=max_abs,
-        max_rel_deviation=max_rel,
-        seed=seed,
-        tol=tol,
-        metric=metric,
-        passed=bool(chosen < tol),
-    )
+    reports = [VerificationReport(name, group, samples, max_abs[name], max_rel[name],
+                                  seed, tol, metric, passed=False) for name in names]
+    return [replace(r, passed=bool(r.deviation < tol)) for r in reports]
 
 
 def applicable_invariants(n: int, group: str) -> list[str]:
     """Invariant selectors ``verify_invariance`` accepts for an n-qubit state."""
-    group = group.upper()
+    group = _group(group)
     return [name for name, row in _inv.invariant_table(n).items()
             if group != SL_KIND or row.kind == "complex"]

@@ -109,17 +109,19 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def _failing(bad: np.ndarray, core: int = 0,
-             first: int | None = 0) -> tuple[tuple[int, ...], str]:
+def _failing(bad: np.ndarray, core: int = 0, first: int | None = 0,
+             rows: Sequence[str] | None = None) -> tuple[tuple[int, ...], str]:
     """Index of the first failing entry of a check, and a message prefix.
 
-    ``bad`` holds one flag per checked item. When it has an axis before its
-    last ``core`` ones and ``first`` is not None, that leading axis stacks
-    samples numbered from ``first``, and the prefix names the failing sample.
+    ``bad`` holds one flag per checked item; ``rows`` names the entries of
+    the axis before its last ``core`` ones. An axis left before those stacks
+    samples numbered from ``first`` unless that is None. The prefix names the
+    failing sample and row.
     """
     idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-    samples = first is not None and bad.ndim > core
-    return idx, f"sample {first + idx[0]}: " if samples else ""
+    lead = bad.ndim - core - (rows is not None)
+    at = f"sample {first + idx[0]}: " if first is not None and lead > 0 else ""
+    return idx, at if rows is None else f"{at}{rows[idx[lead]]}: "
 
 
 def _vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -149,24 +151,26 @@ def _check_norms(nsq, normalized: bool, first: int = 0) -> None:
                                 f"from 1 by more than {NORM_SQ_TOL}")
 
 
-def _check_density(m: np.ndarray, first: int | None = 0) -> None:
+def _check_density(m: np.ndarray, first: int | None = 0,
+                   rows: Sequence[str] | None = None) -> None:
     """Hermitian, unit-trace and PSD checks on one density matrix or a stack
     (..., side, side) whose leading axis numbers samples from ``first`` (None:
-    not a stack of samples); each is written so that NaN fails it."""
+    not a stack of samples) and whose axis before the matrices is named by
+    ``rows`` if given; each is written so that NaN fails it."""
     mh = m.conj().swapaxes(-1, -2)
     herm = np.abs(m - mh).max(axis=(-2, -1))
     if not herm.max() <= HERMITIAN_TOL:
-        _, at = _failing(~(herm <= HERMITIAN_TOL), first=first)
+        _, at = _failing(~(herm <= HERMITIAN_TOL), 0, first, rows)
         raise ValueError(f"{at}density matrix is not Hermitian within tolerance")
     tr = m.trace(axis1=-2, axis2=-1)
     dev = np.abs(tr - 1.0)
     if not dev.max() <= TRACE_TOL:
-        idx, at = _failing(~(dev <= TRACE_TOL), first=first)
+        idx, at = _failing(~(dev <= TRACE_TOL), 0, first, rows)
         raise ValueError(f"{at}density matrix trace {tr[idx]!r} deviates from 1")
     # PSD check on the Hermitized matrix; rounding makes exact PSD unattainable.
     low = np.linalg.eigvalsh((m + mh) / 2.0)[..., 0]
     if not low.min() >= -EIGENVALUE_TOL:
-        idx, at = _failing(~(low >= -EIGENVALUE_TOL), first=first)
+        idx, at = _failing(~(low >= -EIGENVALUE_TOL), 0, first, rows)
         raise ValueError(
             f"{at}density matrix has eigenvalue {low[idx]!r} below -{EIGENVALUE_TOL}")
 
@@ -267,16 +271,19 @@ def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(tuple(kept), _reduced(state.amplitudes, n, kept))
 
 
-def _real(t, what: str, tol: float = HERMITIAN_TOL):
+def _real(t, what: str, tol: float = HERMITIAN_TOL, first: int | None = None,
+          rows: Sequence[str] | None = None):
     """Real part of a value that must be real, as a scalar or an array.
 
     An imaginary residue at or above ``tol`` means a kernel bug, not bad
     input, and raises HermitianViolationError (an assert would vanish
-    under ``python -O``).
+    under ``python -O``). With ``rows``, values (..., rows, k) name their
+    failing row and, from ``first``, their sample.
     """
     residue = np.abs(t.imag).max() if isinstance(t, np.ndarray) else abs(t.imag)
     if not residue < tol:
-        raise HermitianViolationError(f"{what} has imaginary residue {float(residue)!r}")
+        at = "" if rows is None else _failing(~(np.abs(t.imag) < tol), 1, first, rows)[1]
+        raise HermitianViolationError(f"{at}{what} has imaginary residue {float(residue)!r}")
     return t.real
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qinv
+import qinv.cli
 from qinv import (
     InternalDisagreementError,
     InvariantNotApplicableError,
@@ -26,6 +28,7 @@ from qinv import (
 from qinv import invariants as _inv
 from qinv import orbit as _orbit
 from qinv import pauli as _p
+from qinv import state as _s
 
 from oracles import expm_taylor
 
@@ -448,15 +451,18 @@ def test_chunk_boundaries_do_not_change_the_report(monkeypatch):
     campaigns = [("I_5", "LU"), ("I_{12}", "LU"), ("Z", "LU"), ("Z", "SL")]
 
     def reports():
-        return [verify_invariance(s, name, group, 10, 1e-7, 5)
-                for name, group in campaigns]
+        one_row = [verify_invariance(s, name, group, 10, 1e-7, 5)
+                   for name, group in campaigns]
+        return one_row + _orbit._campaign(s, applicable_invariants(3, "LU"), "LU", 10, 1e-7, 5)
 
     whole = reports()
     # Chunks of 3 samples: 10 is not a multiple of the chunk.
     monkeypatch.setattr(_orbit, "_CHUNK_AMPLITUDES", 3 * 8)
     stacks = _spy_stacks(monkeypatch)
     assert reports() == whole
-    assert [len(st) for st in stacks] == [3, 3, 3, 1] * len(campaigns)
+    # The all-row campaign validates one stack per family (2 on LU) per chunk.
+    assert [len(st) for st in stacks] == ([3, 3, 3, 1] * len(campaigns)
+                                          + [3, 3, 3, 3, 3, 3, 1, 1])
 
 
 def test_one_sample_per_chunk_at_large_n(monkeypatch):
@@ -616,3 +622,84 @@ def test_batched_i6_runs_the_tangle_cross_check(monkeypatch):
     monkeypatch.setattr(_inv, "_pair_tangle", shifted)
     with pytest.raises(InternalDisagreementError, match="^sample 0: I_6 routes disagree"):
         verify_invariance(random_state(3, 69), "I_6", "LU", 10, 1e-9, 0)
+
+
+# ------------------------------------------- one campaign per state and group
+
+def _ghz(n):
+    amps = np.zeros(1 << n)
+    amps[0] = amps[-1] = 2 ** -0.5
+    return qinv.new_state(n, amps)
+
+
+@pytest.mark.parametrize("group", ["LU", "SL"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_campaign_equals_the_one_row_campaigns(n, group):
+    # One sample (and the last chunk of 33 at n = 7) puts one image in a
+    # chunk: a row's value must not depend on how many rows share its stack.
+    zero = qinv.new_state(n, np.eye(1, 1 << n)[0])
+    names = applicable_invariants(n, group)
+    for state, samples in itertools.product((random_state(n, 90 + n), zero, _ghz(n)),
+                                            (1, 33)):
+        reports = _orbit._campaign(state, names, group, samples, 1e-9, 6)
+        assert reports == [verify_invariance(state, name, group, samples, 1e-9, 6)
+                           for name in names]
+        assert [r.passed for r in reports] == [r.deviation < r.tol for r in reports]
+
+
+@pytest.mark.parametrize("n, samples, group, stacks_per_chunk",
+                         [(3, 100, "lu", 2), (3, 100, "sl", 1),
+                          (12, 3, "lu", 2), (12, 3, "sl", 1)])
+def test_cli_verify_validates_one_stack_per_family_and_chunk(
+        monkeypatch, tmp_path, capsys, n, samples, group, stacks_per_chunk):
+    path = tmp_path / "state.json"
+    qinv.cli.write_state(random_state(n, 91), str(path))
+    stacks = _spy_stacks(monkeypatch)
+    argv = ["verify", "-s", str(path), "--group", group, "--samples", str(samples)]
+    assert qinv.cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == len(applicable_invariants(n, group))
+    chunks = -(-samples // max(1, _orbit._CHUNK_AMPLITUDES >> n))
+    assert len(stacks) == stacks_per_chunk * chunks
+
+
+@pytest.mark.parametrize("group", ["bogus", "", "SLOCC"])
+def test_group_must_be_lu_or_sl(ghz3, group):
+    with pytest.raises(ValueError, match="group must be LU or SL"):
+        applicable_invariants(3, group)
+    with pytest.raises(ValueError, match="group must be LU or SL"):
+        verify_invariance(ghz3, "I_1", group, 5, 1e-9, 0)
+
+
+@pytest.mark.parametrize("group", ["lu", "LU", "sl", "Sl"])
+def test_group_is_case_insensitive(ghz3, group):
+    names = applicable_invariants(3, group)
+    assert names == applicable_invariants(3, group.upper())
+    assert verify_invariance(ghz3, names[-1], group, 5, 1e-7, 0).group == group.upper()
+
+
+def test_stacked_density_check_names_the_row_and_sample(monkeypatch):
+    # Break the trace of qubit pair (1, 3) from sample 2 on, in stacks of
+    # images only: the stacked check of all I_{ij} rows names that row.
+    reduced = _s._reduced
+
+    def tampered(amps, n, kept):
+        rho = reduced(amps, n, kept)
+        if amps.ndim > 1 and tuple(kept) == (1, 3):
+            rho[2:] *= 1.1
+        return rho
+
+    monkeypatch.setattr(_s, "_reduced", tampered)
+    names = applicable_invariants(3, "LU")
+    with pytest.raises(ValueError, match=r"^sample 2: I_\{13\}: density matrix trace"):
+        _orbit._campaign(random_state(3, 92), names, "LU", 10, 1e-9, 0)
+
+
+def test_stacked_residue_check_names_the_row_and_sample(monkeypatch):
+    rows = dict(_inv._PAULI_ROWS)
+    rows[2] = rows[2] * (1.0 + 1e-6j)
+    monkeypatch.setattr(_inv, "_PAULI_ROWS", rows)
+    with pytest.raises(qinv.HermitianViolationError,
+                       match=r"^sample 0: I_\{12\}: 2-point correlators has imaginary"):
+        _orbit._campaign(random_state(3, 93), applicable_invariants(3, "LU"),
+                         "LU", 10, 1e-9, 0)
