@@ -12,9 +12,11 @@ dependency.
 A campaign checks any number of invariants of one state on one group's
 orbit; ``verify_invariance`` is its one-invariant case. It runs in chunks of
 samples (as many as keep a chunk within 2**12 amplitudes: 100 samples make
-one chunk up to n = 5, and a chunk holds one sample from n = 12 on). Sample k
-draws from its own generator, seeded from (seed, k), so its operator is
-bit-for-bit ``random_lu`` or ``random_sl`` at that sub-seed. Per chunk, each
+one chunk up to n = 5, and a chunk holds one sample from n = 12 on). Sample k's
+operator is ``random_lu`` or ``random_sl`` at the sub-seed
+``SeedSequence((seed, k)).generate_state(1)[0]``, bit for bit, so numpy alone
+replays it; a campaign computes the generator words of up to 4096 samples at
+once by running numpy's SeedSequence on uint32 columns. Per chunk, each
 operator family the invariants need (LU without phases, LU with phases, SL)
 draws, validates and applies a (chunk, n, 2, 2) stack of operators once, and
 ``invariants._evaluate``, the report's evaluator, evaluates all of the
@@ -24,9 +26,10 @@ family's invariants with every check of their per-operation routes on the
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,9 +55,10 @@ _UNIT_TOL = 1e-10
 # the first dropped terms, d^4/24 and d^4/120, are then below 5e-18.
 _EXPM_SERIES_CUTOFF = 1e-8
 _SL_SPREAD = 0.5
-# Invariants are O(1) on a normalized state: a base this close to 0 is rounding
-# of a zero, and dividing by it would turn rounding into a large relative change.
-_ZERO_BASE = 1e-12
+# A degree-d invariant of an image of norm r sums terms up to about r**d, so it
+# carries rounding of about eps * r**d. A base below sqrt(eps) * r**d cannot show
+# a relative change of 1e-7 above that rounding, so it is scaled like a zero.
+_ZERO_BASE = 2.0 ** -26
 # Amplitudes per campaign chunk (64 KB of images). Larger chunks are no
 # faster, and a campaign holds a few arrays of this size at once.
 _CHUNK_AMPLITUDES = 1 << 12
@@ -165,6 +169,7 @@ class VerificationReport:
     tol: float
     metric: str  # deviation metric the pass verdict uses: "abs" or "rel"
     passed: bool
+    worst_sample: int  # first sample with the largest verdict deviation (or NaN)
 
     @property
     def deviation(self) -> float:
@@ -199,16 +204,17 @@ def _euler_unitary(alpha, omega, beta) -> np.ndarray:
 _EULER_WIDTHS = np.array([2.0 * np.pi, np.pi, 2.0 * np.pi, 2.0 * np.pi])
 
 
-def _draw_lu(seeds: Sequence[int], n: int, global_phase: bool) -> np.ndarray:
-    """The factors ``random_lu`` builds for each seed, unvalidated:
-    shape (len(seeds), n, 2, 2)."""
+def _draw_lu(rngs: Iterable[np.random.Generator], n: int,
+             global_phase: bool) -> np.ndarray:
+    """The factors ``random_lu`` builds from each generator, unvalidated:
+    shape (samples, n, 2, 2)."""
     cols = 4 if global_phase else 3
-    angles = np.array([np.random.default_rng(s).random((n, cols)) for s in seeds])
+    angles = np.array([rng.random((n, cols)) for rng in rngs])
     angles = (angles * _EULER_WIDTHS[:cols]).reshape(-1, cols)
     u = _euler_unitary(angles[:, 0], angles[:, 1], angles[:, 2])
     if global_phase:
         u = np.exp(1j * angles[:, 3])[:, None, None] * u
-    return u.reshape(len(seeds), n, 2, 2)
+    return u.reshape(-1, n, 2, 2)
 
 
 def random_lu(n: int, seed: int, global_phase: bool = False) -> LocalOperator:
@@ -219,24 +225,25 @@ def random_lu(n: int, seed: int, global_phase: bool = False) -> LocalOperator:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return LocalOperator(tuple(_draw_lu([seed], n, global_phase)[0]), LU_KIND)
+    return LocalOperator(tuple(_draw_lu([np.random.default_rng(seed)], n, global_phase)[0]),
+                         LU_KIND)
 
 
-def _draw_sl(seeds: Sequence[int], n: int, spread: float,
+def _draw_sl(rngs: Iterable[np.random.Generator], n: int, spread: float,
              first: int | None = None) -> np.ndarray:
-    """The factors ``random_sl`` builds for each seed, unvalidated:
-    shape (len(seeds), n, 2, 2).
+    """The factors ``random_sl`` builds from each generator, unvalidated:
+    shape (samples, n, 2, 2).
 
-    Each seed has its own generator. An attempt draws, from each generator,
-    that sample's still-pending qubits in increasing order, then builds and
-    tests every drawn row of every sample at once. A campaign passes the
-    number of its first sample as ``first``, for the error message.
+    An attempt draws, from each sample's generator, that sample's
+    still-pending qubits in increasing order, then builds and tests every
+    drawn row of every sample at once. A campaign passes the number of its
+    first sample as ``first``, for the error message.
     """
-    rngs = [np.random.default_rng(s) for s in seeds]
-    ops = np.empty((len(seeds) * n, 2, 2), dtype=np.complex128)
+    rngs = list(rngs)
+    ops = np.empty((len(rngs) * n, 2, 2), dtype=np.complex128)
     # Pending rows of ``ops`` (sample * n + qubit), ascending: within each
     # sample, the order random_sl draws its qubits in.
-    pending = np.arange(len(seeds) * n)
+    pending = np.arange(len(rngs) * n)
     for _ in range(_SL_MAX_ATTEMPTS):
         counts = np.bincount(pending // n, minlength=len(rngs))
         z = np.concatenate([rngs[b].standard_normal((counts[b], 2, 2, 2))
@@ -252,7 +259,7 @@ def _draw_sl(seeds: Sequence[int], n: int, spread: float,
         ops[pending[ok]] = g[ok]
         pending = pending[~ok]
         if pending.size == 0:
-            return ops.reshape(len(seeds), n, 2, 2)
+            return ops.reshape(len(rngs), n, 2, 2)
     sample, qubit = divmod(int(pending[0]), n)
     at = "" if first is None else f"sample {first + sample}: "
     raise ConditioningFailureError(
@@ -273,7 +280,8 @@ def random_sl(n: int, seed: int, spread: float = _SL_SPREAD) -> LocalOperator:
         raise ValueError(f"n must be >= 1, got {n}")
     if spread <= 0:
         raise ValueError(f"spread must be > 0, got {spread}")
-    return LocalOperator(tuple(_draw_sl([seed], n, spread)[0]), SL_KIND)
+    ops = _draw_sl([np.random.default_rng(seed)], n, spread)[0]
+    return LocalOperator(tuple(ops), SL_KIND)
 
 
 def _images(amps: np.ndarray, n: int, ops: np.ndarray, kind: str,
@@ -309,9 +317,85 @@ def apply_local(state: PureState, g: LocalOperator) -> tuple[PureState, float]:
     return PureState(n, amps / raw_norm), float(raw_norm)
 
 
-def _subseed(seed: int, index: int) -> int:
-    # Same derivation for serial and parallel runs keeps reports bit-identical.
-    return int(np.random.SeedSequence((seed, index)).generate_state(1)[0])
+# numpy's SeedSequence (NEP 19 fixes its algorithm and constants) on uint32
+# columns: the j-th hashmix of a pool uses _HASH_A[j] and _HASH_A[j + 1], the
+# j-th generated word _HASH_B[j] and _HASH_B[j + 1].
+_MASK32, _INIT_A, _MULT_A = 0xFFFFFFFF, 0x43B0D7E5, 0x931E8875
+
+
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**j mod 2**32 for j < count, as a uint32 column."""
+    return np.array([init * pow(mult, j, 1 << 32) & _MASK32 for j in range(count)],
+                    dtype=np.uint32)[:, None]
+
+
+_HASH_A, _HASH_B = _powers(_INIT_A, _MULT_A, 257), _powers(0x8B51F9DD, 0x58F38DED, 9)
+_SEED_BLOCK = 1 << 12  # samples whose seed words a campaign derives at once
+
+
+def _hashmix(x: np.ndarray, c: np.ndarray, c_next: np.ndarray) -> np.ndarray:
+    h = (x ^ c) * c_next
+    return h ^ (h >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return r ^ (r >> 16)
+
+
+def _seed_state(entropy: list, m: int, words: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(words)`` of m entropies at once,
+    (words, m) uint32: each entropy word is an int or an (m,) uint32 column."""
+    pool = np.zeros((4, m), dtype=np.uint32)
+    for i, word in enumerate(entropy[:4]):
+        pool[i] = word
+    a = _HASH_A if len(entropy) <= 64 else _powers(_INIT_A, _MULT_A, 4 * len(entropy) + 1)
+    pool = _hashmix(pool, a[:4], a[1:5])
+    for src in range(4):  # the other rows absorb row src
+        dst, j = [d for d in range(4) if d != src], 4 + 3 * src
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[j:j + 3], a[j + 1:j + 4]))
+    for j in range(4, len(entropy)):  # every row absorbs entropy word j
+        pool = _mix(pool, _hashmix(np.uint32(entropy[j]), a[4 * j:4 * j + 4],
+                                   a[4 * j + 1:4 * j + 5]))
+    return _hashmix(pool[np.arange(words) % 4], _HASH_B[:words], _HASH_B[1:words + 1])
+
+
+def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """Row k - start is ``SeedSequence(SeedSequence((seed, k)).generate_state(1)[0])
+    .generate_state(4, np.uint64)`` for k in start..stop-1: the words
+    ``default_rng`` of sample k's sub-seed seeds PCG64 with."""
+    if start < 1 << 32 < stop:  # k gains a second entropy word at 2**32
+        return np.concatenate([_seed_words(seed, start, 1 << 32),
+                               _seed_words(seed, 1 << 32, stop)])
+    seed, k = int(seed), np.arange(start, stop, dtype=np.uint64)
+    entropy = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [(k >> s & _MASK32).astype(np.uint32)
+                for s in range(0, max((stop - 1).bit_length(), 1), 32)]
+    sub = _seed_state(entropy, stop - start, 1)[0]
+    state = _seed_state([sub], stop - start, 8)
+    # As generate_state(4, np.uint64): little-endian pairs of uint32 words.
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _words_type() -> type:
+    """A seed sequence that hands PCG64 one sample's precomputed words. Made on
+    first use: ``import qinv`` leaves numpy.random unloaded for commands that
+    never sample."""
+
+    class Words(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+    return Words
+
+
+def _generators(words: np.ndarray) -> Iterator[np.random.Generator]:
+    """Sample generators, made as consumed, from rows of ``_seed_words``."""
+    words_type = _words_type()
+    return (np.random.Generator(np.random.PCG64(words_type(w))) for w in words)
 
 
 def _group(group: str) -> str:
@@ -331,12 +415,16 @@ def verify_invariance(state: PureState, invariant: str, group: str,
     tested on SL orbits, are compared in modulus there because per-qubit
     global phases rotate their phase. SL orbits evaluate them on the raw
     (unnormalized) images, compare complex values, and the verdict uses the
-    relative deviation: it divides by |base|, or, when |base| <= 1e-12 is
-    rounding of 0, by ``raw_norm ** degree`` of each image (1 on LU orbits).
+    relative deviation: it divides by |base|, or, when |base| is at most
+    2**-26 * ``raw_norm ** degree`` of an image (too small for float64 to
+    resolve a relative change of 1e-7), by ``raw_norm ** degree`` (1 on LU).
     The base value comes from the row's per-operation reference, the images'
     values from its batched evaluator, so a disagreement between the two
-    routes shows up as a deviation. ``tol`` must be finite and > 0. Sample k
-    draws its operator from a sub-seed derived from (seed, k).
+    routes shows up as a deviation. ``tol`` must be finite and > 0, ``seed``
+    a non-negative integer. Sample k's operator is ``random_lu`` (with
+    ``global_phase`` for complex rows) or ``random_sl`` at the sub-seed
+    ``SeedSequence((seed, k)).generate_state(1)[0]``; ``worst_sample`` names
+    the k to replay.
     """
     return _campaign(state, [invariant], group, samples, tol, seed)[0]
 
@@ -345,6 +433,10 @@ def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
               tol: float, seed: int) -> list[VerificationReport]:
     """``verify_invariance`` of each of ``names``, from one campaign: per chunk,
     each operator family draws once and ``_evaluate`` runs all its rows."""
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     group = _group(group)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -369,28 +461,45 @@ def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
     base = {name: complex(table[name].reference(state)) for name in names}
     max_abs = dict.fromkeys(names, 0.0)
     max_rel = dict.fromkeys(names, 0.0)
+    verdict_max = max_rel if group == SL_KIND else max_abs
+    worst = dict.fromkeys(names, 0)  # sample of verdict_max
     per_chunk = max(1, _CHUNK_AMPLITUDES >> n)
+    at, words = 0, np.empty((0, 4), dtype=np.uint64)  # seed words of samples at..
     for start in range(0, samples, per_chunk):
-        seeds = [_subseed(seed, k) for k in range(start, min(samples, start + per_chunk))]
+        stop = min(samples, start + per_chunk)
+        if stop > at + len(words):
+            at, words = start, _seed_words(
+                seed, start, min(samples, start + max(per_chunk, _SEED_BLOCK)))
         for modulus, rows in families.items():
+            rngs = _generators(words[start - at:stop - at])
             if group == LU_KIND:
-                ops = _draw_lu(seeds, n, modulus)
+                ops = _draw_lu(rngs, n, modulus)
             else:
-                ops = _draw_sl(seeds, n, _SL_SPREAD, start)
+                ops = _draw_sl(rngs, n, _SL_SPREAD, start)
             _check_ops(ops, group, start)
             images, raw_norm = _images(state.amplitudes, n, ops, group, start)
+            # Per degree: each image's raw_norm ** degree, and the largest |base|
+            # that any of them scales like a zero.
+            unit = {d: raw_norm ** d for d in {row.degree for row in rows.values()}}
+            floor = {d: _ZERO_BASE * float(u.max()) for d, u in unit.items()}
             for name, values in _inv._evaluate(images, n, rows, start).items():
-                base_mag = abs(base[name])
+                base_mag, d = abs(base[name]), rows[name].degree
                 dev = (np.abs(np.abs(values) - base_mag) if modulus
                        else np.abs(values - base[name]))
-                scale = base_mag if base_mag > _ZERO_BASE else raw_norm ** rows[name].degree
-                # np.max, unlike max(), lets a NaN through to fail the verdict.
-                max_abs[name] = float(np.max(dev, initial=max_abs[name]))
-                max_rel[name] = float(np.max(dev / scale, initial=max_rel[name]))
+                scale = base_mag if base_mag > floor[d] else np.where(
+                    base_mag > _ZERO_BASE * unit[d], base_mag, unit[d])
+                rel, before = dev / scale, verdict_max[name]
+                # ndarray.max, unlike max(), lets a NaN through to fail the verdict.
+                max_abs[name] = float(dev.max(initial=max_abs[name]))
+                max_rel[name] = float(rel.max(initial=max_rel[name]))
+                if not (math.isnan(before) or verdict_max[name] <= before):
+                    # argmax: the chunk's first NaN, else its first maximum
+                    worst[name] = start + int((rel if group == SL_KIND else dev).argmax())
             del images  # one family's images alive at a time
     metric = "rel" if group == SL_KIND else "abs"
-    reports = [VerificationReport(name, group, samples, max_abs[name], max_rel[name],
-                                  seed, tol, metric, passed=False) for name in names]
+    reports = [VerificationReport(name, group, samples, max_abs[name], max_rel[name], seed,
+                                  tol, metric, passed=False, worst_sample=worst[name])
+               for name in names]
     return [replace(r, passed=bool(r.deviation < tol)) for r in reports]
 
 

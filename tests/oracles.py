@@ -1,8 +1,9 @@
 """Independent oracles used to cross-check the package kernels.
 
-The state and operator oracles build full 2^n x 2^n matrices on purpose, and
-the matrix exponential is a plain Taylor series: these paths share no code
-with the package kernels they validate.
+The state and operator oracles build full 2^n x 2^n matrices on purpose, the
+matrix exponential is a plain Taylor series, and campaign sub-seeds come from
+numpy's own SeedSequence: these paths share no code with the package kernels
+they validate.
 """
 from __future__ import annotations
 
@@ -78,3 +79,8 @@ def expm_taylor(m: np.ndarray, terms: int = 20) -> np.ndarray:
     for _ in range(s):
         out = out @ out
     return out
+
+
+def subseed(seed, k: int) -> int:
+    """Sample k's sub-seed in a campaign of ``seed``, by numpy's own route."""
+    return int(np.random.SeedSequence((seed, k)).generate_state(1)[0])

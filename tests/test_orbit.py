@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from qinv import orbit as _orbit
 from qinv import pauli as _p
 from qinv import state as _s
 
-from oracles import expm_taylor
+from oracles import expm_taylor, subseed
 
 
 # ------------------------------------------------------------- random_state
@@ -233,6 +234,14 @@ def test_import_leaves_scipy_unloaded():
     assert proc.returncode == 0
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # Commands that never sample (compute, compare) do not pay for importing
+    # numpy.random; the campaign's seed-sequence type is made on first use.
+    script = "import sys, qinv; sys.exit('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(qinv.__file__).resolve().parents[1]))
+    assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
+
+
 # -------------------------------------------------------------- apply_local
 
 def test_apply_local_identity(ghz3):
@@ -401,7 +410,7 @@ def test_campaign_operators_match_single_draws(monkeypatch, n, group):
         verify_invariance(state, name, group, 7, 1.0, 13)
         (stack,) = stacks
         for k, ops in enumerate(stack):
-            sub = _orbit._subseed(13, k)
+            sub = subseed(13, k)
             if group == "LU":
                 single = random_lu(n, sub, global_phase=name in ("C", "Z"))
             else:
@@ -419,8 +428,8 @@ def test_batched_sl_draw_redraws_rejected_rows_from_their_own_stream(monkeypatch
         return c
 
     monkeypatch.setattr(_orbit, "_cond2", spy)
-    seeds = [_orbit._subseed(11, k) for k in range(60)]
-    stack = _orbit._draw_sl(seeds, 8, _orbit._SL_SPREAD)
+    seeds = [subseed(11, k) for k in range(60)]
+    stack = _orbit._draw_sl([np.random.default_rng(s) for s in seeds], 8, _orbit._SL_SPREAD)
     assert rejected[0] > 0
     for seed, ops in zip(seeds, stack):
         assert np.array_equal(ops, np.array(random_sl(8, seed).ops))
@@ -430,13 +439,14 @@ def test_batched_sl_draw_redraws_rejected_rows_from_their_own_stream(monkeypatch
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_batched_values_match_per_operation_evaluators(n, group):
     state = random_state(n, 50 + n)
-    seeds = [_orbit._subseed(17, k) for k in range(6)]
+    seeds = [subseed(17, k) for k in range(6)]
     for name in applicable_invariants(n, group):
         sel = _inv.invariant_table(n)[name]
+        rngs = [np.random.default_rng(s) for s in seeds]
         if group == "LU":
-            ops = _orbit._draw_lu(seeds, n, name in ("C", "Z"))
+            ops = _orbit._draw_lu(rngs, n, name in ("C", "Z"))
         else:
-            ops = _orbit._draw_sl(seeds, n, _orbit._SL_SPREAD)
+            ops = _orbit._draw_sl(rngs, n, _orbit._SL_SPREAD)
         images, _ = _orbit._images(state.amplitudes, n, ops, group)
         got = sel.batched(images, 0)
         assert got.shape == (len(seeds),)
@@ -474,18 +484,21 @@ def test_one_sample_per_chunk_at_large_n(monkeypatch):
     campaign = list(stacks)
     assert [st.shape for st in campaign] == [(1, n, 2, 2)] * 3
     for k, stack in enumerate(campaign):
-        single = random_lu(n, _orbit._subseed(8, k))
+        single = random_lu(n, subseed(8, k))
         assert np.array_equal(stack[0], np.array(single.ops))
 
 
 def _tamper(draw, bad, sample=4, seed=0):
-    """Wrap a campaign draw so that factor 2 of ``sample`` turns ``bad``."""
-    target = _orbit._subseed(seed, sample)
+    """Wrap a campaign draw so that factor 2 of ``sample`` turns ``bad``; the
+    sample is the one whose generator starts where its sub-seed's does."""
+    target = np.random.default_rng(subseed(seed, sample)).bit_generator.state
 
-    def tampered(seeds, *args):
-        ops = draw(seeds, *args)
-        if target in seeds:
-            row = seeds.index(target)
+    def tampered(rngs, *args):
+        rngs = list(rngs)
+        states = [rng.bit_generator.state for rng in rngs]
+        ops = draw(rngs, *args)
+        if target in states:
+            row = states.index(target)
             ops[row, 1] = bad(ops[row, 1])
         return ops
     return tampered
@@ -536,7 +549,8 @@ def test_tampered_route_fails_a_batched_campaign(monkeypatch, name, routes):
         verify_invariance(random_state(3, 64), name, "LU", 10, 1e-9, 0)
     # A chunk starting at sample 5 names its samples from 5 on.
     s = random_state(3, 64)
-    ops = _orbit._draw_lu([_orbit._subseed(0, k) for k in range(5, 10)], 3, False)
+    ops = _orbit._draw_lu([np.random.default_rng(subseed(0, k)) for k in range(5, 10)],
+                          3, False)
     images, _ = _orbit._images(s.amplitudes, 3, ops, "LU", 5)
     with pytest.raises(InternalDisagreementError,
                        match=f"^sample 5: {routes} routes disagree"):
@@ -585,6 +599,13 @@ def test_near_zero_base_is_scaled_like_an_exact_zero(w3, ghz3):
     assert report.max_rel_deviation < 1e-12
     # GHZ_3 I_{12} is 0 up to rounding; its LU max_rel read 3.75.
     report = verify_invariance(ghz3, "I_{12}", "LU", 100, 1e-9, 0)
+    assert report.passed
+    assert report.max_rel_deviation < 1e-12
+    # C = -2e-10 is not 0, but below what float64 resolves to 1e-7 relative:
+    # a deviation of 2.3e-16 read max_rel 1.1e-6 and FAILED.
+    near_product = qinv.new_state(2, [1j, 0, 0, 1e-10j])
+    assert abs(qinv.concurrence(near_product)) == pytest.approx(2e-10)
+    report = verify_invariance(near_product, "C", "SL", 100, 1e-7, 0)
     assert report.passed
     assert report.max_rel_deviation < 1e-12
 
@@ -703,3 +724,142 @@ def test_stacked_residue_check_names_the_row_and_sample(monkeypatch):
                        match=r"^sample 0: I_\{12\}: 2-point correlators has imaginary"):
         _orbit._campaign(random_state(3, 93), applicable_invariants(3, "LU"),
                          "LU", 10, 1e-9, 0)
+
+
+# ------------------------------------------------------------ campaign seeding
+
+ORACLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 + 5, 2**200, np.uint64(7), True]
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS, ids=repr)
+def test_sample_generators_equal_default_rng_at_the_oracle_subseed(seed):
+    # Blocks reach k = 4095..4097, 10**6 and both sides of 2**32 through
+    # their start, as a campaign's later blocks do.
+    for start, stop in [(0, 100), (4095, 4098), (10**6, 10**6 + 1),
+                        (2**32 - 1, 2**32 + 1)]:
+        words = _orbit._seed_words(seed, start, stop)
+        assert words.shape == (stop - start, 4) and words.dtype == np.uint64
+        uniform = _orbit._generators(words)
+        normal = _orbit._generators(words)
+        for k, w, gu, gn in zip(range(start, stop), words, uniform, normal):
+            sub = subseed(seed, k)
+            want = np.random.SeedSequence(sub).generate_state(4, np.uint64)
+            assert np.array_equal(w, want), (seed, k)
+            ru, rn = np.random.default_rng(sub), np.random.default_rng(sub)
+            assert np.array_equal(gu.random(8), ru.random(8)), (seed, k)
+            assert np.array_equal(gn.standard_normal(8), rn.standard_normal(8)), (seed, k)
+            assert np.array_equal(gu.standard_normal(3), ru.standard_normal(3)), (seed, k)
+
+
+def test_campaign_sl_draw_with_rejections_equals_random_sl(monkeypatch):
+    rejected = []
+    cond2 = _orbit._cond2
+
+    def spy(g):
+        c = cond2(g)
+        rejected.append(int(np.sum(~(c <= _orbit._SL_CONDITION_CAP))))
+        return c
+
+    monkeypatch.setattr(_orbit, "_cond2", spy)
+    rngs = _orbit._generators(_orbit._seed_words(11, 0, 60))
+    stack = _orbit._draw_sl(rngs, 8, _orbit._SL_SPREAD)
+    assert rejected[0] > 0
+    for k, ops in enumerate(stack):
+        assert np.array_equal(ops, np.array(random_sl(8, subseed(11, k)).ops)), k
+
+
+@pytest.mark.parametrize("group", ["LU", "SL"])
+@pytest.mark.parametrize("seed, error", [
+    (-1, ValueError), (-2**70, ValueError), (np.int64(-3), ValueError),
+    (1.0, TypeError), (np.float64(2.0), TypeError), ("3", TypeError), (None, TypeError),
+])
+def test_campaign_seed_must_be_a_non_negative_integer(monkeypatch, ghz3, group, seed,
+                                                      error):
+    def no_work(n):
+        raise AssertionError("the campaign started before checking its seed")
+
+    monkeypatch.setattr(_inv, "invariant_table", no_work)
+    with pytest.raises(error, match="seed"):
+        verify_invariance(ghz3, "Z", group, 5, 1e-7, seed)
+
+
+@pytest.mark.parametrize("group", ["LU", "SL"])
+@pytest.mark.parametrize("seed, same", [(2**70, 2**70), (np.uint64(7), 7),
+                                        (np.int32(3), 3), (True, 1)], ids=repr)
+def test_campaign_accepts_integer_seeds_of_any_type(ghz3, group, seed, same):
+    report = verify_invariance(ghz3, "Z", group, 5, 1e-7, seed)
+    assert report.passed and report.seed is seed
+    assert replace(report, seed=same) == verify_invariance(ghz3, "Z", group, 5, 1e-7, same)
+
+
+# ---------------------------------------------------------------- worst sample
+
+def _plant(monkeypatch, state, name, planted):
+    """Make the batched evaluator of row ``name`` return base + shift for
+    each campaign sample k in ``planted`` (k -> shift)."""
+    base = _inv.invariant_table(state.n_qubits)[name].reference(state)
+    table = _inv.invariant_table
+
+    def planting(n):
+        rows = table(n)
+        row = rows[name]
+
+        def batched(amps, first):
+            out = row.batched(amps, first).copy()
+            for k, shift in planted.items():
+                if amps.ndim > 1 and 0 <= k - first < len(out):
+                    out[k - first] = base + shift
+            return out
+        rows[name] = row._replace(batched=batched)
+        return rows
+
+    monkeypatch.setattr(_inv, "invariant_table", planting)
+
+
+@pytest.mark.parametrize("name, group", [("I_5", "LU"), ("Z", "SL")])
+@pytest.mark.parametrize("planted, worst", [
+    ({7: 1e-3}, 7),
+    ({5: 1e-3, 7: 1e-3}, 5),                                  # a tie: the first
+    ({5: 1e-3, 8: float("nan"), 9: float("nan")}, 8),         # the first NaN
+    ({1: float("nan"), 7: 1e-3}, 1),
+])
+def test_worst_sample_is_the_planted_sample_at_any_chunk_size(
+        monkeypatch, name, group, planted, worst):
+    state = random_state(3, 94)
+    _plant(monkeypatch, state, name, planted)
+    whole = verify_invariance(state, name, group, 12, 1e-7, 0)
+    assert whole.worst_sample == worst and not whole.passed
+    # Chunks of 3 samples put the planted samples in different chunks.
+    monkeypatch.setattr(_orbit, "_CHUNK_AMPLITUDES", 3 * 8)
+    chunked = verify_invariance(state, name, group, 12, 1e-7, 0)
+    assert chunked.worst_sample == worst
+    # A NaN deviation is unequal to itself, so compare the reports as text.
+    assert repr(chunked) == repr(whole)
+
+
+def test_sl_worst_sample_has_the_largest_relative_deviation(monkeypatch, w3):
+    # Z of W_3 is 0, so each deviation is divided by raw_norm ** 4 of its
+    # image: equal absolute deviations rank by the smallest raw norm.
+    _plant(monkeypatch, w3, "Z", dict.fromkeys(range(12), 1e-3))
+    report = verify_invariance(w3, "Z", "SL", 12, 1e-7, 0)
+    norms = [apply_local(w3, random_sl(3, subseed(0, k)))[1] for k in range(12)]
+    assert report.worst_sample == int(np.argmin(norms)) != 0
+
+
+def test_worst_sample_replays_alone(monkeypatch):
+    # Sample k's operator is random_lu at the oracle sub-seed of (seed, k):
+    # replaying the worst sample alone reproduces the campaign's operator and
+    # its deviation.
+    stacks = _spy_stacks(monkeypatch)
+    state, seed = random_state(3, 95), 21
+    for name in applicable_invariants(3, "LU"):
+        stacks.clear()
+        report = verify_invariance(state, name, "LU", 40, 1e-9, seed)
+        phase = name in ("C", "Z")
+        op = random_lu(3, subseed(seed, report.worst_sample), global_phase=phase)
+        assert np.array_equal(stacks[0][report.worst_sample], np.array(op.ops)), name
+        image, _ = apply_local(state, op)
+        row = _inv.invariant_table(3)[name]
+        base, value = complex(row.reference(state)), complex(row.reference(image))
+        dev = abs(abs(value) - abs(base)) if phase else abs(value - base)
+        assert abs(dev - report.max_abs_deviation) <= 1e-12, name

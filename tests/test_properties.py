@@ -1,5 +1,6 @@
 """Property tests: the invariant table's two routes, qubit-permutation
-covariance of the report, and byte-stable state-file round trips."""
+covariance of the report, byte-stable state-file round trips, campaign
+seeding and orbit invariance."""
 import tempfile
 from pathlib import Path
 
@@ -7,9 +8,13 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qinv import invariant_report, new_state
+from qinv import (applicable_invariants, invariant_report, new_state, random_lu, random_sl,
+                  verify_invariance)
+from qinv import orbit as _orbit
 from qinv.cli import dumps_state, load_state
 from qinv.invariants import invariant_table, pair_name, single_name
+
+from oracles import subseed
 
 PROPERTY = settings(max_examples=25, deadline=None)
 
@@ -65,3 +70,51 @@ def test_state_file_round_trip_is_byte_stable(state):
         path = Path(tmp) / "state.json"
         path.write_text(text, encoding="utf-8")
         assert dumps_state(load_state(str(path))) == text
+
+
+@PROPERTY
+@given(st.integers(0, 2**70), st.integers(0, 10**7), st.integers(1, 4), st.integers(1, 4),
+       st.booleans())
+def test_seed_blocks_draw_the_operators_of_the_oracle_subseeds(seed, start, count, n,
+                                                               phase):
+    words = _orbit._seed_words(seed, start, start + count)
+    lu = _orbit._draw_lu(_orbit._generators(words), n, phase)
+    sl = _orbit._draw_sl(_orbit._generators(words), n, _orbit._SL_SPREAD)
+    for k, lu_ops, sl_ops in zip(range(start, start + count), lu, sl):
+        sub = subseed(seed, k)
+        assert np.array_equal(lu_ops, np.array(random_lu(n, sub, global_phase=phase).ops))
+        assert np.array_equal(sl_ops, np.array(random_sl(n, sub).ops))
+
+
+amplitudes = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def classed_states(draw, n):
+    """Product, GHZ-class and W-class states, on which some invariants are
+    exactly 0, as well as generic ones."""
+    kind = draw(st.sampled_from(["generic", "product", "ghz", "w"]))
+    if kind == "generic":
+        return draw(states(n))
+    if kind == "product":
+        amps = np.ones(1)
+        for _ in range(n):
+            qubit = np.array(draw(st.lists(amplitudes, min_size=2, max_size=2)))
+            assume(np.linalg.norm(qubit) > 1e-3)
+            amps = np.kron(amps, qubit)
+    else:
+        amps = np.zeros(1 << n, dtype=complex)
+        slots = [0, (1 << n) - 1] if kind == "ghz" else [1 << q for q in range(n)]
+        amps[slots] = draw(st.lists(amplitudes, min_size=len(slots), max_size=len(slots)))
+    assume(np.linalg.norm(amps) > 1e-3)
+    return new_state(n, amps, normalize=True)
+
+
+@PROPERTY
+@given(st.integers(1, 4).flatmap(classed_states), st.integers(0, 2**70))
+def test_orbit_campaigns_pass_on_drawn_states(state, seed):
+    n = state.n_qubits
+    for group, tol in (("LU", 1e-9), ("SL", 1e-7)):
+        for name in applicable_invariants(n, group):
+            report = verify_invariance(state, name, group, 8, tol, seed)
+            assert report.passed, report
