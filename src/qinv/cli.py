@@ -98,7 +98,10 @@ def load_state(path: str, normalize: bool = False) -> PureState:
             raise StateFileError(
                 f"{path}: amplitudes[{k}]: expected a [re, im] number pair, got {item!r}"
             )
-        amps[k] = complex(item[0], item[1])
+        try:
+            amps[k] = complex(item[0], item[1])
+        except OverflowError:
+            raise StateFileError(f"{path}: amplitudes[{k}]: integer out of float64 range")
     try:
         return new_state(n, amps, normalize=normalize)
     except UnnormalizedError as exc:

@@ -22,7 +22,7 @@ from .errors import (
     WrongQubitCountError,
 )
 from .pauli import PAULI_I, PAULI_X, PAULI_Z, SPIN_FLIP
-from .state import PureState, partial_trace, purity, trace_power
+from .state import PureState, partial_trace, purity
 
 AXES = "XYZ"
 INTERNAL_TOL = 1e-10
@@ -59,13 +59,6 @@ def _check_qubit(state: PureState, i: int) -> None:
         raise IndexOutOfRangeError(f"qubit {i} out of range 1..{state.n_qubits}")
 
 
-def _letters(n: int, **at: str) -> str:
-    word = ["I"] * n
-    for pos, letter in at.items():
-        word[int(pos[1:]) - 1] = letter
-    return "".join(word)
-
-
 def _one_point(amps: np.ndarray, n: int, i: int) -> np.ndarray:
     """<sigma_{i,a}> for a in (x, y, z) through the operator kernel, per
     vector of ``amps`` (..., 2**n): shape (..., 3)."""
@@ -74,6 +67,19 @@ def _one_point(amps: np.ndarray, n: int, i: int) -> np.ndarray:
     for a in AXES:
         ops[i - 1] = _p.PAULI_BY_LETTER[a]
         values.append(_p._expectations(amps, n, ops, f"<{a}_{i}>"))
+    return np.stack(values, axis=-1)
+
+
+def _two_point(amps: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
+    """<sigma_{i,a} sigma_{j,b}> at index 3a + b through the operator kernel,
+    per vector of ``amps`` (..., 2**n): shape (..., 9)."""
+    ops = [PAULI_I] * n
+    values = []
+    for a in AXES:
+        ops[i - 1] = _p.PAULI_BY_LETTER[a]
+        for b in AXES:
+            ops[j - 1] = _p.PAULI_BY_LETTER[b]
+            values.append(_p._expectations(amps, n, ops, f"<{a}_{i} {b}_{j}>"))
     return np.stack(values, axis=-1)
 
 
@@ -108,21 +114,17 @@ def single_qubit_invariant_dm(state: PureState, i: int) -> float:
 def pair_invariant(state: PureState, i: int, j: int) -> float:
     """1 minus the nine squared two-point correlators <sigma_{i,a} sigma_{j,b}>.
 
-    The (a, b) sum runs in fixed lexicographic order x,y,z x x,y,z so the
-    floating-point reduction is reproducible.
+    The correlators come from the operator kernel; their squares are summed
+    by one ``np.sum`` over the fixed order 3a + b, so the floating-point
+    reduction is reproducible. The I_{ij} rows of the report read the same
+    numbers off rho_ij instead, and ``verify`` compares the two routes.
     """
     _check_normalized(state)
     _check_qubit(state, i)
     _check_qubit(state, j)
     if i == j:
         raise SameIndexError(f"pair invariant needs two distinct qubits, got {i}")
-    n = state.n_qubits
-    total = 1.0
-    for a in AXES:
-        for b in AXES:
-            word = _letters(n, **{f"q{i}": a, f"q{j}": b})
-            total -= _p.expectation(state, word) ** 2
-    return total
+    return float(1.0 - np.sum(_two_point(state.amplitudes, state.n_qubits, i, j) ** 2))
 
 
 def pair_identity_residual(state: PureState, i: int, j: int) -> float:
@@ -187,17 +189,9 @@ def triple_correlation_sum(state: PureState, i: int, j: int) -> float:
 
 def _triple_correlation(amps: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
     """``triple_correlation_sum`` per vector of ``amps`` (..., 2**n)."""
-    one_i = _one_point(amps, n, i)
-    one_j = _one_point(amps, n, j)
-    ops = [PAULI_I] * n
-    total = 0.0
-    for a, a_name in enumerate(AXES):
-        ops[i - 1] = _p.PAULI_BY_LETTER[a_name]
-        for b, b_name in enumerate(AXES):
-            ops[j - 1] = _p.PAULI_BY_LETTER[b_name]
-            corr = _p._expectations(amps, n, ops, f"<{a_name}_{i} {b_name}_{j}>")
-            total = total + one_i[..., a] * one_j[..., b] * corr
-    return total
+    two = _two_point(amps, n, i, j)
+    return np.einsum("...a,...b,...ab->...", _one_point(amps, n, i), _one_point(amps, n, j),
+                     two.reshape(*two.shape[:-1], 3, 3))
 
 
 def cubic_invariant(state: PureState, method: str = "density") -> float:
@@ -206,7 +200,8 @@ def cubic_invariant(state: PureState, method: str = "density") -> float:
     Two routes are always evaluated and must agree to 1e-10:
       density: 3 tr[(rho_1 (x) rho_2) rho_12] - tr(rho_1^3) - tr(rho_2^3)
       pauli:   (1 + 3 * triple_correlation_sum(state, 1, 2)) / 4
-    ``method`` selects which value is returned.
+    ``method`` selects which value is returned. Both come from ``_cubic``,
+    the evaluator of the report's I_5 row.
     """
     if state.n_qubits != 3:
         raise WrongQubitCountError(
@@ -215,21 +210,8 @@ def cubic_invariant(state: PureState, method: str = "density") -> float:
     if method not in ("density", "pauli"):
         raise ValueError(f"method must be 'density' or 'pauli', got {method!r}")
     _check_normalized(state)
-    rho_a = partial_trace(state, {1})
-    rho_b = partial_trace(state, {2})
-    rho_ab = partial_trace(state, {1, 2})
-    via_density = (
-        3.0 * _s.cross_term(rho_a, rho_b, rho_ab)
-        - trace_power(rho_a, 3)
-        - trace_power(rho_b, 3)
-    )
-    via_pauli = 0.25 * (1.0 + 3.0 * triple_correlation_sum(state, 1, 2))
-    if abs(via_density - via_pauli) > INTERNAL_TOL:
-        raise InternalDisagreementError(
-            f"cubic invariant routes disagree: density={via_density!r} "
-            f"pauli={via_pauli!r}"
-        )
-    return via_density if method == "density" else via_pauli
+    via_density, via_pauli = _cubic(state.amplitudes, 3, None)
+    return float(via_density if method == "density" else via_pauli)
 
 
 _PAIR_TANGLE_SLOT = {"AB": 3, "AC": 2, "BC": 1}
@@ -373,26 +355,22 @@ def _first_kind(amps: np.ndarray, n: int, keeps: list[tuple[int, ...]],
 
 def _purity(amps: np.ndarray, n: int, qubit: int, first: int | None) -> np.ndarray:
     """tr(rho^2) of one qubit, checked against its Pauli-expectation form."""
-    rho = _density(amps, n, (qubit,), first)
-    via_purity = _s._real(np.einsum("...ij,...ji->...", rho, rho), "tr(rho^2)")
+    via_purity = _s._trace_power(_density(amps, n, (qubit,), first), 2)
     via_pauli = 0.5 * (1.0 + np.sum(_one_point(amps, n, qubit) ** 2, axis=-1))
     _agree(f"purity of qubit {qubit}", first, INTERNAL_TOL,
            purity=via_purity, pauli=via_pauli)
     return via_purity
 
 
-def _cubic(amps: np.ndarray, n: int, first: int | None) -> np.ndarray:
-    """``cubic_invariant`` (density route), checked against the Pauli route."""
+def _cubic(amps: np.ndarray, n: int, first: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """``cubic_invariant`` by its density and Pauli routes, checked to agree."""
     rho_a, rho_b, rho_ab = (_density(amps, n, kept, first)
                             for kept in ((1,), (2,), (1, 2)))
-    kron = np.einsum("...ij,...kl->...ikjl", rho_a, rho_b).reshape(rho_ab.shape)
-    cross = _s._real(np.einsum("...ij,...ji->...", kron, rho_ab), "cross term")
-    cube_a, cube_b = (_s._real(np.trace(r @ r @ r, axis1=-2, axis2=-1), "tr(rho^3)")
-                      for r in (rho_a, rho_b))
-    via_density = 3.0 * cross - cube_a - cube_b
+    via_density = (3.0 * _s._cross_term(rho_a, rho_b, rho_ab)
+                   - _s._trace_power(rho_a, 3) - _s._trace_power(rho_b, 3))
     via_pauli = 0.25 * (1.0 + 3.0 * _triple_correlation(amps, n, 1, 2))
     _agree("cubic invariant", first, INTERNAL_TOL, density=via_density, pauli=via_pauli)
-    return via_density
+    return via_density, via_pauli
 
 
 def _checked_tangle(amps: np.ndarray, first: int | None) -> np.ndarray:
@@ -439,7 +417,7 @@ def invariant_table(n: int) -> dict[str, Invariant]:
                 "real", 4, lambda s, q=q: purity(partial_trace(s, {q})),
                 lambda a, first, q=q: _purity(a, 3, q, first), tolerances=_INTERNAL)
         table["I_5"] = Invariant("real", 6, lambda s: cubic_invariant(s),
-                                 lambda a, first: _cubic(a, 3, first),
+                                 lambda a, first: _cubic(a, 3, first)[0],
                                  tolerances=_INTERNAL)
         table["I_6"] = Invariant("real", 4, lambda s: three_tangle(s), _checked_tangle,
                                  tolerances=(("tangle_agreement", TANGLE_TOL),))
@@ -503,17 +481,23 @@ def three_qubit_suite(state: PureState) -> InvariantReport:
         raise WrongQubitCountError(
             f"the suite is defined for 3 qubits, got {state.n_qubits}"
         )
-    _check_normalized(state)
     # The suite is the real rows of the n = 3 table that keep no qubit set.
     rows = {name: row for name, row in invariant_table(3).items()
             if row.kind == "real" and not row.kept}
-    values = _evaluate(state.amplitudes, 3, rows, None)
+    return _report(state, rows, {})
+
+
+def _report(state: PureState, rows: dict[str, Invariant], tolerances: dict[str, float],
+            **metadata: object) -> InvariantReport:
+    """Report of table ``rows`` on ``state`` from one ``_evaluate`` call, with
+    ``tolerances`` then the rows' own, and the state's digest then ``metadata``."""
+    _check_normalized(state)
+    values = _evaluate(state.amplitudes, state.n_qubits, rows, None)
     return InvariantReport(
-        n_qubits=3,
-        entries={name: ReportEntry(values[name].item(), row.kind)
-                 for name, row in rows.items()},
-        tolerances=dict(tol for row in rows.values() for tol in row.tolerances),
-        metadata={"state_digest": state.digest()},
+        state.n_qubits,
+        {name: ReportEntry(values[name].item(), row.kind) for name, row in rows.items()},
+        {**tolerances, **dict(tol for row in rows.values() for tol in row.tolerances)},
+        {"state_digest": state.digest(), **metadata},
     )
 
 
@@ -525,8 +509,9 @@ def first_kind_fingerprint(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     NaN) is the 3x3 block <sigma_{i,a} sigma_{j,b}> = tr(rho_ij sigma_a (x)
     sigma_b). There is one route at every n: each rho comes from the same
     reduction as ``partial_trace``, which holds at most one extra copy of the
-    state at a time. The per-operation functions above stay as the
-    independent reference path.
+    state at a time. It is the route of the report's I_{i} and I_{ij} rows;
+    ``single_qubit_invariant`` and ``pair_invariant`` compute the same
+    correlators through the operator kernel instead, as its cross-check.
     """
     _check_normalized(state)
     n = state.n_qubits
@@ -546,16 +531,6 @@ def invariant_report(state: PureState, seed: int | None = None) -> InvariantRepo
     ``_evaluate`` on a stack of one vector: the evaluator an orbit campaign
     runs on its stack of images.
     """
-    _check_normalized(state)
-    n = state.n_qubits
-    table = invariant_table(n)
-    values = _evaluate(state.amplitudes, n, table, None)
-    entries: dict[str, ReportEntry] = {}
-    tolerances: dict[str, float] = {"hermitian_residue": _p.HERMITIAN_RESIDUE_TOL}
-    for name, row in table.items():
-        entries[name] = ReportEntry(values[name].item(), row.kind)
-        tolerances.update(row.tolerances)
-    metadata: dict[str, object] = {"state_digest": state.digest()}
-    if seed is not None:
-        metadata["seed"] = seed
-    return InvariantReport(n, entries, tolerances, metadata)
+    return _report(state, invariant_table(state.n_qubits),
+                   {"hermitian_residue": _p.HERMITIAN_RESIDUE_TOL},
+                   **({} if seed is None else {"seed": seed}))

@@ -418,9 +418,10 @@ def verify_invariance(state: PureState, invariant: str, group: str,
     relative deviation: it divides by |base|, or, when |base| is at most
     2**-26 * ``raw_norm ** degree`` of an image (too small for float64 to
     resolve a relative change of 1e-7), by ``raw_norm ** degree`` (1 on LU).
-    The base value comes from the row's per-operation reference, the images'
-    values from its batched evaluator, so a disagreement between the two
-    routes shows up as a deviation. ``tol`` must be finite and > 0, ``seed``
+    The base comes from the row's per-operation reference, the images' values
+    from its batched evaluator: for I_{i} and I_{ij} two routes, so their
+    disagreement shows up as a deviation; other references share the
+    evaluator's kernels. ``tol`` must be finite and > 0, ``seed``
     a non-negative integer. Sample k's operator is ``random_lu`` (with
     ``global_phase`` for complex rows) or ``random_sl`` at the sub-seed
     ``SeedSequence((seed, k)).generate_state(1)[0]``; ``worst_sample`` names

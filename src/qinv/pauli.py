@@ -17,7 +17,7 @@ from .errors import (
     LengthMismatchError,
     NotUnitaryError,
 )
-from .state import PureState, _real, _vdots
+from .state import NORM_SQ_TOL, PureState, _real, _vdots
 
 PAULI_I = np.array([[1, 0], [0, 1]], dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -123,7 +123,7 @@ def _bilinears(amps: np.ndarray, n: int, ops: Sequence[np.ndarray]) -> np.ndarra
 
 def _wrap(n: int, amps: np.ndarray) -> PureState:
     nsq = float(np.vdot(amps, amps).real)
-    return PureState(n, amps, is_normalized=abs(nsq - 1.0) <= 1e-10)
+    return PureState(n, amps, is_normalized=abs(nsq - 1.0) <= NORM_SQ_TOL)
 
 
 def apply_single_qubit(state: PureState, qubit: int, op: np.ndarray) -> PureState:

@@ -6,7 +6,9 @@ Qubit indices are 1-based everywhere in the public API.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -287,16 +289,32 @@ def _real(t, what: str, tol: float = HERMITIAN_TOL, first: int | None = None,
     return t.real
 
 
+def _trace_power(m: np.ndarray, k: int) -> np.ndarray:
+    """tr(m^k), k >= 1, per matrix of ``m`` (..., side, side), checked real;
+    one einsum takes the final trace."""
+    if k == 2:  # sum_ij m_ij m_ji, without forming m @ m
+        t = np.einsum("...ij,...ji->...", m, m)
+    else:
+        t = np.einsum("...ii->...", functools.reduce(np.matmul, itertools.repeat(m, k)))
+    return _real(t, f"tr(rho^{k})")
+
+
+def _cross_term(rho_a: np.ndarray, rho_b: np.ndarray, rho_ab: np.ndarray) -> np.ndarray:
+    """tr[(rho_a (x) rho_b) rho_ab] per matrix triple of the stacks, checked real."""
+    kron = np.einsum("...ij,...kl->...ikjl", rho_a, rho_b).reshape(rho_ab.shape)
+    return _real(np.einsum("...ij,...ji->...", kron, rho_ab), "cross term")
+
+
 def purity(rho: DensityMatrix) -> float:
     """tr(rho^2) as a real number."""
-    return float(_real(np.einsum("ij,ji->", rho.matrix, rho.matrix), "tr(rho^2)"))
+    return float(_trace_power(rho.matrix, 2))
 
 
 def trace_power(rho: DensityMatrix, k: int) -> float:
     """tr(rho^k) as a real number, k >= 1."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return float(_real(np.linalg.matrix_power(rho.matrix, k).trace(), f"tr(rho^{k})"))
+    return float(_trace_power(rho.matrix, k))
 
 
 def cross_term(rho_a: DensityMatrix, rho_b: DensityMatrix,
@@ -311,5 +329,4 @@ def cross_term(rho_a: DensityMatrix, rho_b: DensityMatrix,
             f"rho_ab must be over qubits {rho_a.kept_qubits + rho_b.kept_qubits}, "
             f"got {rho_ab.kept_qubits}"
         )
-    prod = np.kron(rho_a.matrix, rho_b.matrix)
-    return float(_real(np.einsum("ij,ji->", prod, rho_ab.matrix), "cross term"))
+    return float(_cross_term(rho_a.matrix, rho_b.matrix, rho_ab.matrix))

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,10 +7,19 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import qinv
 from qinv import new_state
 
 S2 = 1.0 / np.sqrt(2.0)
 S3 = 1.0 / np.sqrt(3.0)
+
+
+def subprocess_env() -> dict[str, str]:
+    """Environment for a ``python`` subprocess that imports the qinv under
+    test, whether or not it is installed: its directory leads PYTHONPATH."""
+    src = str(Path(qinv.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture

@@ -29,6 +29,7 @@ from qinv import (
 )
 from qinv.cli import load_state, main, write_state
 
+from conftest import subprocess_env
 from oracles import dense_bilinear
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -247,7 +248,7 @@ def test_criterion_11_cli_end_to_end(tmp_path, capsys):
     proc = subprocess.run(
         [sys.executable, "-m", "qinv", "verify", "-s", str(ghz_file),
          "--samples", "10", "--seed", "4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=subprocess_env())
     checks.append(("module entry point verify exit 0", proc.returncode == 0))
 
     failed = [name for name, ok in checks if not ok]

@@ -85,9 +85,11 @@ def test_load_state_wrong_length_names_expected(tmp_path, capsys):
 
 def test_load_state_bad_pair_is_positional(tmp_path, capsys):
     path = tmp_path / "pair.json"
-    path.write_text('{"n_qubits": 1, "amplitudes": [[1,0],["x",0]]}')
-    assert main(["compute", "-s", str(path)]) == 2
-    assert "amplitudes[1]" in capsys.readouterr().err
+    # A non-number, and an integer beyond float64 range.
+    for bad in ('["x",0]', f'[0,1{"0" * 400}]'):
+        path.write_text(f'{{"n_qubits": 1, "amplitudes": [[1,0],{bad}]}}')
+        assert main(["compute", "-s", str(path)]) == 2
+        assert "amplitudes[1]" in capsys.readouterr().err
 
 
 def test_load_state_cap_is_max_qubits(tmp_path, capsys):

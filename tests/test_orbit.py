@@ -1,9 +1,7 @@
 import itertools
-import os
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +29,7 @@ from qinv import orbit as _orbit
 from qinv import pauli as _p
 from qinv import state as _s
 
+from conftest import subprocess_env
 from oracles import expm_taylor, subseed
 
 
@@ -229,7 +228,7 @@ def test_import_leaves_scipy_unloaded():
     # Exit code, not assert, so the check also holds under python -O.
     script = ("import sys, qinv; "
               "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=str(Path(qinv.__file__).resolve().parents[1]))
+    env = subprocess_env()
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env)
     assert proc.returncode == 0
 
@@ -238,7 +237,7 @@ def test_import_leaves_numpy_random_unloaded():
     # Commands that never sample (compute, compare) do not pay for importing
     # numpy.random; the campaign's seed-sequence type is made on first use.
     script = "import sys, qinv; sys.exit('numpy.random' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(Path(qinv.__file__).resolve().parents[1]))
+    env = subprocess_env()
     assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
 
 
@@ -621,6 +620,17 @@ def test_sl_factor_above_the_sampler_condition_cap_is_rejected():
     factor = np.diag([np.sqrt(50.0), 1.0 / np.sqrt(50.0)])
     with pytest.raises(ValueError, match="operator 1 exceeds condition number"):
         LocalOperator((factor,), "SL")
+
+
+def test_sl_factors_at_the_condition_cap():
+    # diag(s, 1/s) has det 1 and condition number s**2: accepted a relative
+    # 1e-9 below the cap of 10, rejected 1e-9 above it.
+    below, above = (np.diag([np.sqrt(c), 1.0 / np.sqrt(c)])
+                    for c in (10.0 * (1.0 - 1e-9), 10.0 * (1.0 + 1e-9)))
+    assert abs(_orbit._cond2(below) / np.linalg.cond(below) - 1.0) <= 1e-14
+    LocalOperator((below,), "SL")
+    with pytest.raises(ValueError, match="operator 1 exceeds condition number"):
+        LocalOperator((above,), "SL")
 
 
 @pytest.mark.parametrize("n, name", [(3, "I_{21}"), (3, "I_{1,2}"), (9, "I_{1,2}"),

@@ -1,14 +1,11 @@
-import os
 import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import qinv
 from qinv import (
     BadSubsetError,
     DensityMatrix,
@@ -27,6 +24,7 @@ from qinv import (
     trace_power,
 )
 
+from conftest import subprocess_env
 from oracles import ptrace_outer_product
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -283,7 +281,7 @@ def test_purity_check_survives_python_O():
         except HermitianViolationError:
             print("raised")
     """)
-    env = dict(os.environ, PYTHONPATH=str(Path(qinv.__file__).resolve().parents[1]))
+    env = subprocess_env()
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "raised"
