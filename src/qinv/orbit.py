@@ -16,13 +16,13 @@ one chunk up to n = 5, and a chunk holds one sample from n = 12 on). Sample k's
 operator is ``random_lu`` or ``random_sl`` at the sub-seed
 ``SeedSequence((seed, k)).generate_state(1)[0]``, bit for bit, so numpy alone
 replays it; a campaign computes the generator words of up to 4096 samples at
-once by running numpy's SeedSequence on uint32 columns. Per chunk, each
-operator family the invariants need (LU without phases, LU with phases, SL)
-draws, validates and applies a (chunk, n, 2, 2) stack of operators once, and
-``invariants._evaluate``, the report's evaluator, evaluates all of the
-family's invariants with every check of their per-operation routes on the
-(chunk, 2**n) stack of images. ``random_lu``, ``random_sl``,
-``LocalOperator`` and ``apply_local`` are the one-sample case of the same code.
+once by running numpy's SeedSequence on uint32 columns. Per chunk, the group
+draws, validates and applies one (chunk, n, 2, 2) stack of operators, so
+sample k has one operator whatever the invariant, and
+``invariants._evaluate``, the report's evaluator, evaluates every invariant
+with every check of its per-operation route on the (chunk, 2**n) stack of
+images. ``random_lu``, ``random_sl``, ``LocalOperator`` and ``apply_local``
+are the one-sample case of the same code.
 """
 from __future__ import annotations
 
@@ -205,7 +205,7 @@ _EULER_WIDTHS = np.array([2.0 * np.pi, np.pi, 2.0 * np.pi, 2.0 * np.pi])
 
 
 def _draw_lu(rngs: Iterable[np.random.Generator], n: int,
-             global_phase: bool) -> np.ndarray:
+             global_phase: bool = False) -> np.ndarray:
     """The factors ``random_lu`` builds from each generator, unvalidated:
     shape (samples, n, 2, 2)."""
     cols = 4 if global_phase else 3
@@ -410,20 +410,20 @@ def verify_invariance(state: PureState, invariant: str, group: str,
                       samples: int, tol: float, seed: int) -> VerificationReport:
     """Sample a group orbit of ``state`` and measure how much the invariant moves.
 
-    ``invariant`` names a row of ``invariants.invariant_table(n)``. LU orbits
-    compare absolute deviations; complex (second-kind) rows, the only ones
-    tested on SL orbits, are compared in modulus there because per-qubit
-    global phases rotate their phase. SL orbits evaluate them on the raw
-    (unnormalized) images, compare complex values, and the verdict uses the
-    relative deviation: it divides by |base|, or, when |base| is at most
+    ``invariant`` names a row of ``invariants.invariant_table(n)``. Every
+    deviation is |value - base|, complex (second-kind) rows compared as
+    complex numbers. LU orbits hold it against ``tol``; their factors have
+    determinant one, so C and Z are exact invariants of them. SL orbits test
+    only the complex rows, on the raw (unnormalized) images, and the verdict
+    uses the relative deviation: it divides by |base|, or, when |base| is at most
     2**-26 * ``raw_norm ** degree`` of an image (too small for float64 to
     resolve a relative change of 1e-7), by ``raw_norm ** degree`` (1 on LU).
     The base comes from the row's per-operation reference, the images' values
     from its batched evaluator: for I_{i} and I_{ij} two routes, so their
     disagreement shows up as a deviation; other references share the
     evaluator's kernels. ``tol`` must be finite and > 0, ``seed``
-    a non-negative integer. Sample k's operator is ``random_lu`` (with
-    ``global_phase`` for complex rows) or ``random_sl`` at the sub-seed
+    a non-negative integer. Sample k's operator, whatever the row, is
+    ``random_lu`` (without phases) or ``random_sl`` at the sub-seed
     ``SeedSequence((seed, k)).generate_state(1)[0]``; ``worst_sample`` names
     the k to replay.
     """
@@ -433,7 +433,7 @@ def verify_invariance(state: PureState, invariant: str, group: str,
 def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
               tol: float, seed: int) -> list[VerificationReport]:
     """``verify_invariance`` of each of ``names``, from one campaign: per chunk,
-    each operator family draws once and ``_evaluate`` runs all its rows."""
+    one stack of operators and one ``_evaluate`` call for every row."""
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
@@ -445,8 +445,7 @@ def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     n = state.n_qubits
     table = _inv.invariant_table(n)
-    # Rows by family, keyed by "compared in modulus" (LU draws phases for those).
-    families: dict[bool, dict[str, _inv.Invariant]] = {}
+    rows: dict[str, _inv.Invariant] = {}
     for name in names:
         row = table.get(name)
         if row is None:
@@ -458,8 +457,8 @@ def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
                 f"{name} is a first-kind invariant; only complex (second-kind) "
                 f"invariants are tested on SL orbits"
             )
-        families.setdefault(row.kind == "complex" and group == LU_KIND, {})[name] = row
-    base = {name: complex(table[name].reference(state)) for name in names}
+        rows[name] = row
+    base = {name: complex(row.reference(state)) for name, row in rows.items()}
     max_abs = dict.fromkeys(names, 0.0)
     max_rel = dict.fromkeys(names, 0.0)
     verdict_max = max_rel if group == SL_KIND else max_abs
@@ -471,32 +470,24 @@ def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
         if stop > at + len(words):
             at, words = start, _seed_words(
                 seed, start, min(samples, start + max(per_chunk, _SEED_BLOCK)))
-        for modulus, rows in families.items():
-            rngs = _generators(words[start - at:stop - at])
-            if group == LU_KIND:
-                ops = _draw_lu(rngs, n, modulus)
-            else:
-                ops = _draw_sl(rngs, n, _SL_SPREAD, start)
-            _check_ops(ops, group, start)
-            images, raw_norm = _images(state.amplitudes, n, ops, group, start)
-            # Per degree: each image's raw_norm ** degree, and the largest |base|
-            # that any of them scales like a zero.
-            unit = {d: raw_norm ** d for d in {row.degree for row in rows.values()}}
-            floor = {d: _ZERO_BASE * float(u.max()) for d, u in unit.items()}
-            for name, values in _inv._evaluate(images, n, rows, start).items():
-                base_mag, d = abs(base[name]), rows[name].degree
-                dev = (np.abs(np.abs(values) - base_mag) if modulus
-                       else np.abs(values - base[name]))
-                scale = base_mag if base_mag > floor[d] else np.where(
-                    base_mag > _ZERO_BASE * unit[d], base_mag, unit[d])
-                rel, before = dev / scale, verdict_max[name]
-                # ndarray.max, unlike max(), lets a NaN through to fail the verdict.
-                max_abs[name] = float(dev.max(initial=max_abs[name]))
-                max_rel[name] = float(rel.max(initial=max_rel[name]))
-                if not (math.isnan(before) or verdict_max[name] <= before):
-                    # argmax: the chunk's first NaN, else its first maximum
-                    worst[name] = start + int((rel if group == SL_KIND else dev).argmax())
-            del images  # one family's images alive at a time
+        rngs = _generators(words[start - at:stop - at])
+        if group == LU_KIND:
+            ops = _draw_lu(rngs, n)
+        else:
+            ops = _draw_sl(rngs, n, _SL_SPREAD, start)
+        _check_ops(ops, group, start)
+        images, raw_norm = _images(state.amplitudes, n, ops, group, start)
+        for name, values in _inv._evaluate(images, n, rows, start).items():
+            dev, base_mag = np.abs(values - base[name]), abs(base[name])
+            unit = raw_norm ** rows[name].degree
+            scale = np.where(base_mag > _ZERO_BASE * unit, base_mag, unit)
+            rel, before = dev / scale, verdict_max[name]
+            # ndarray.max, unlike max(), lets a NaN through to fail the verdict.
+            max_abs[name] = float(dev.max(initial=max_abs[name]))
+            max_rel[name] = float(rel.max(initial=max_rel[name]))
+            if not (math.isnan(before) or verdict_max[name] <= before):
+                # argmax: the chunk's first NaN, else its first maximum
+                worst[name] = start + int((rel if group == SL_KIND else dev).argmax())
     metric = "rel" if group == SL_KIND else "abs"
     reports = [VerificationReport(name, group, samples, max_abs[name], max_rel[name], seed,
                                   tol, metric, passed=False, worst_sample=worst[name])

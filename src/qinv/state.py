@@ -182,28 +182,34 @@ def new_state(n: int, amps: Iterable[complex], *, normalize: bool = False) -> Pu
 
     If the squared norm deviates from 1 by more than 1e-10 the vector is
     rescaled only when ``normalize=True``; otherwise the call is rejected.
+    The norm is taken after an exact power-of-two scaling, so any finite
+    vector with a nonzero amplitude rescales, however large or small.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > MAX_QUBITS:
         raise TooLargeError(f"n={n} exceeds the maximum of {MAX_QUBITS}")
-    vec = np.asarray(list(amps) if not isinstance(amps, np.ndarray) else amps,
-                     dtype=np.complex128)
+    vec = np.ascontiguousarray(list(amps) if not isinstance(amps, np.ndarray) else amps,
+                               dtype=np.complex128)
     if vec.ndim != 1 or vec.size != 1 << n:
         raise LengthMismatchError(
             f"expected {1 << n} amplitudes for n={n}, got {vec.size}"
         )
-    norm = float(np.linalg.norm(vec))
-    if not math.isfinite(norm):
-        raise NonFiniteError(f"amplitudes must be finite; norm is {norm!r}")
-    if norm < 1e-14:
-        raise ZeroVectorError(f"amplitude vector has norm {norm!r}")
+    parts = vec.view(np.float64)  # real and imaginary parts
+    exp = int(np.frexp(np.max(np.abs(parts)))[1])  # the largest part scales into [0.5, 1)
+    scaled = np.ldexp(parts, -exp).view(np.complex128)
+    scaled_norm = float(np.linalg.norm(scaled))
+    if not math.isfinite(scaled_norm):
+        raise NonFiniteError(f"amplitudes must be finite; norm is {scaled_norm!r}")
+    if scaled_norm == 0.0:
+        raise ZeroVectorError("every amplitude is 0")
+    with np.errstate(over="ignore"):  # a norm beyond float64 range is inf: unnormalized
+        norm = float(np.ldexp(scaled_norm, exp))
     if abs(norm * norm - 1.0) > NORM_SQ_TOL:
         if not normalize:
-            raise UnnormalizedError(
-                f"squared norm is {norm * norm!r}; pass normalize=True to rescale"
-            )
-        vec = vec / norm
+            raise UnnormalizedError(f"norm is {norm!r}, squared {norm * norm!r}; "
+                                    f"pass normalize=True to rescale")
+        vec = scaled / scaled_norm
     return PureState(n, vec)
 
 

@@ -117,10 +117,13 @@ def test_missing_file_exits_2(tmp_path):
 
 def test_compute_unnormalized_requires_flag(tmp_path, capsys):
     path = tmp_path / "unnorm.json"
-    path.write_text('{"n_qubits": 1, "amplitudes": [[1,0],[1,0]]}')
-    assert main(["compute", "-s", str(path)]) == 3
-    capsys.readouterr()
-    assert main(["compute", "-s", str(path), "--normalize"]) == 0
+    # A squared norm beyond float64 range, either way, is unnormalized too.
+    for amps in ("[[1,0],[1,0]]", "[[1e200,0],[0,0]]", "[[1e-200,0],[0,0]]"):
+        path.write_text('{"n_qubits": 1, "amplitudes": %s}' % amps)
+        assert main(["compute", "-s", str(path)]) == 3
+        capsys.readouterr()
+        assert main(["compute", "-s", str(path), "--normalize"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_compute_ghz_json_schema(ghz_file, capsys):

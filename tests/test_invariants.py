@@ -33,6 +33,8 @@ from qinv import (
 from qinv import state as _s
 from qinv.invariants import invariant_table, report_entry_names
 
+from oracles import dense_pauli
+
 S2 = 1.0 / np.sqrt(2.0)
 
 
@@ -366,3 +368,54 @@ def test_report_runs_one_density_check_per_stack(monkeypatch):
     monkeypatch.setattr(_s, "_check_density", counting)
     invariant_report(random_state(10, 80))
     assert shapes == [(10, 2, 2), (45, 4, 4)]
+
+
+# ------------------------------------------------- independence of I_1..I_6
+
+def _report_vector(amps: np.ndarray, names: list[str]) -> np.ndarray:
+    """The report's ``names`` entries on the normalized ``amps``, complex
+    entries in modulus (a global phase rotates them)."""
+    n = int(amps.size).bit_length() - 1
+    entries = invariant_report(PureState(n, amps / np.linalg.norm(amps))).entries
+    return np.array([abs(entries[name].value) if entries[name].kind == "complex"
+                     else entries[name].value for name in names])
+
+
+def _derivative(amps: np.ndarray, names: list[str], direction: np.ndarray,
+                h: float = 1e-6) -> np.ndarray:
+    """Central difference of ``_report_vector`` along ``direction``, with the
+    state renormalized after each step."""
+    return (_report_vector(amps + h * direction, names)
+            - _report_vector(amps - h * direction, names)) / (2.0 * h)
+
+
+def _jacobian(amps: np.ndarray, names: list[str]) -> np.ndarray:
+    """Derivatives of ``names`` along the 2**(n+1) real coordinates of
+    ``amps``: one column per real and per imaginary part."""
+    eye = np.eye(amps.size)
+    return np.array([_derivative(amps, names, d) for d in np.concatenate([eye, 1j * eye])]).T
+
+
+def _lu_generators(amps: np.ndarray) -> list[np.ndarray]:
+    """i sigma_{q,a} psi for every qubit q and Pauli a, and i psi: the 3n + 1
+    directions in which local unitaries move ``amps``."""
+    n = int(amps.size).bit_length() - 1
+    return [1j * amps] + [1j * dense_pauli("I" * q + a + "I" * (n - q - 1)) @ amps
+                          for q in range(n) for a in "XYZ"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_three_qubit_suite_is_a_full_set_of_independent_lu_invariants(seed):
+    # The paper's claim: I_1..I_6 are all the independent LU invariants of
+    # three qubits. I_1 is the norm, so I_2..I_6 must have full rank
+    # invariant_count(3) - 1 = 5 on the normalized states; and every report
+    # row must have a vanishing derivative along each local-unitary
+    # generator, an infinitesimal check that orbit sampling does not replace.
+    amps = random_state(3, seed).amplitudes
+    names = ["I_2", "I_3", "I_4", "I_5", "I_6"]
+    sigma = np.linalg.svd(_jacobian(amps, names), compute_uv=False)
+    assert len(sigma) == invariant_count(3) - 1
+    assert sigma[-1] >= 1e-3, sigma
+    for k, direction in enumerate(_lu_generators(amps)):
+        moved = _derivative(amps, report_entry_names(3), direction)
+        assert np.abs(moved).max() <= 1e-7, (k, moved)

@@ -411,7 +411,7 @@ def test_campaign_operators_match_single_draws(monkeypatch, n, group):
         for k, ops in enumerate(stack):
             sub = subseed(13, k)
             if group == "LU":
-                single = random_lu(n, sub, global_phase=name in ("C", "Z"))
+                single = random_lu(n, sub)
             else:
                 single = random_sl(n, sub)
             assert np.array_equal(ops, np.array(single.ops)), (name, k)
@@ -469,9 +469,8 @@ def test_chunk_boundaries_do_not_change_the_report(monkeypatch):
     monkeypatch.setattr(_orbit, "_CHUNK_AMPLITUDES", 3 * 8)
     stacks = _spy_stacks(monkeypatch)
     assert reports() == whole
-    # The all-row campaign validates one stack per family (2 on LU) per chunk.
-    assert [len(st) for st in stacks] == ([3, 3, 3, 1] * len(campaigns)
-                                          + [3, 3, 3, 3, 3, 3, 1, 1])
+    # The all-row campaign validates one stack per chunk.
+    assert [len(st) for st in stacks] == [3, 3, 3, 1] * (len(campaigns) + 1)
 
 
 def test_one_sample_per_chunk_at_large_n(monkeypatch):
@@ -679,8 +678,8 @@ def test_campaign_equals_the_one_row_campaigns(n, group):
 
 
 @pytest.mark.parametrize("n, samples, group, stacks_per_chunk",
-                         [(3, 100, "lu", 2), (3, 100, "sl", 1),
-                          (12, 3, "lu", 2), (12, 3, "sl", 1)])
+                         [(3, 100, "lu", 1), (3, 100, "sl", 1),
+                          (12, 3, "lu", 1), (12, 3, "sl", 1)])
 def test_cli_verify_validates_one_stack_per_family_and_chunk(
         monkeypatch, tmp_path, capsys, n, samples, group, stacks_per_chunk):
     path = tmp_path / "state.json"
@@ -865,11 +864,40 @@ def test_worst_sample_replays_alone(monkeypatch):
     for name in applicable_invariants(3, "LU"):
         stacks.clear()
         report = verify_invariance(state, name, "LU", 40, 1e-9, seed)
-        phase = name in ("C", "Z")
-        op = random_lu(3, subseed(seed, report.worst_sample), global_phase=phase)
+        op = random_lu(3, subseed(seed, report.worst_sample))
         assert np.array_equal(stacks[0][report.worst_sample], np.array(op.ops)), name
         image, _ = apply_local(state, op)
         row = _inv.invariant_table(3)[name]
         base, value = complex(row.reference(state)), complex(row.reference(image))
-        dev = abs(abs(value) - abs(base)) if phase else abs(value - base)
-        assert abs(dev - report.max_abs_deviation) <= 1e-12, name
+        assert abs(abs(value - base) - report.max_abs_deviation) <= 1e-12, name
+
+
+def test_lu_campaign_compares_complex_rows_by_value(monkeypatch):
+    # A phase of 1e-3 leaves |Z| as it is: only a comparison of complex
+    # values sees sample 7 move.
+    state = random_state(3, 94)
+    base = complex(_inv.invariant_table(3)["Z"].reference(state))
+    _plant(monkeypatch, state, "Z", {7: base * np.exp(1e-3j) - base})
+    report = verify_invariance(state, "Z", "LU", 12, 1e-9, 0)
+    assert report.worst_sample == 7 and not report.passed
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_shifted_reductions_fail_the_one_and_two_point_rows(monkeypatch, n):
+    # The images' I_{i}/I_{ij} values are read off state._reduced, so their
+    # base must come from another route: mixing every reduction with a
+    # little of the maximally mixed state (still a valid density matrix)
+    # must then fail each campaign on its verdict.
+    reduced = _s._reduced
+
+    def shifted(amps, n, kept):
+        rho = reduced(amps, n, kept)
+        side = rho.shape[-1]
+        return (1.0 - 1e-6) * rho + 1e-6 * np.eye(side) / side
+
+    monkeypatch.setattr(_s, "_reduced", shifted)
+    state = random_state(n, 96)
+    table = _inv.invariant_table(n)
+    for name in [name for name, row in table.items() if row.kept]:
+        report = verify_invariance(state, name, "LU", 5, 1e-9, 0)
+        assert not report.passed, (name, report.max_abs_deviation)

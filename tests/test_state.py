@@ -1,11 +1,15 @@
+import ast
 import subprocess
 import sys
 import textwrap
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qinv
 from qinv import (
     BadSubsetError,
     DensityMatrix,
@@ -39,8 +43,14 @@ def test_new_state_basis():
 
 
 def test_new_state_auto_normalize():
-    s = new_state(2, [1, 0, 0, 1], normalize=True)
-    assert_allclose(s.amplitudes, [S2, 0, 0, S2], atol=1e-15)
+    # Squared norms of 2e400, 2e-400 and about 5e-647 (5e-324 is the least
+    # subnormal) leave float64 range; the vectors still normalize, without
+    # a numpy warning.
+    for scale in (1.0, 1e200, 1e-200, 5e-324):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = new_state(2, [scale, 0, 0, scale], normalize=True)
+        assert_allclose(s.amplitudes, [S2, 0, 0, S2], atol=1e-15)
 
 
 def test_new_state_length_mismatch():
@@ -49,13 +59,16 @@ def test_new_state_length_mismatch():
 
 
 def test_new_state_rejects_unnormalized_without_flag():
-    with pytest.raises(UnnormalizedError):
-        new_state(2, [1, 0, 0, 1])
+    for amps in ([1, 0, 0, 1], [1e200, 0, 0, 0], [1e-200, 0, 0, 0]):
+        with pytest.raises(UnnormalizedError):
+            new_state(2, amps)
 
 
 def test_new_state_zero_vector():
-    with pytest.raises(ZeroVectorError):
-        new_state(1, [0, 0], normalize=True)
+    # Only a vector of zeros: any nonzero amplitude normalizes.
+    for normalize in (True, False):
+        with pytest.raises(ZeroVectorError, match="every amplitude is 0"):
+            new_state(1, [0, 0], normalize=normalize)
 
 
 def test_new_state_too_large():
@@ -285,3 +298,12 @@ def test_purity_check_survives_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "raised"
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so no check may be written as one.
+    package = Path(qinv.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(package.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
