@@ -24,7 +24,6 @@ from .errors import (
 from .pauli import PAULI_I, PAULI_X, PAULI_Z, SPIN_FLIP
 from .state import PureState, partial_trace, purity
 
-AXES = "XYZ"
 INTERNAL_TOL = 1e-10
 # Quartic polynomials lose roughly one digit relative to the quadratic forms.
 TANGLE_TOL = 1e-9
@@ -60,27 +59,30 @@ def _check_qubit(state: PureState, i: int) -> None:
 
 
 def _one_point(amps: np.ndarray, n: int, i: int) -> np.ndarray:
-    """<sigma_{i,a}> for a in (x, y, z) through the operator kernel, per
-    vector of ``amps`` (..., 2**n): shape (..., 3)."""
-    ops = [PAULI_I] * n
-    values = []
-    for a in AXES:
-        ops[i - 1] = _p.PAULI_BY_LETTER[a]
-        values.append(_p._expectations(amps, n, ops, f"<{a}_{i}>"))
-    return np.stack(values, axis=-1)
+    """<sigma_{i,a}> for a in (x, y, z) per vector of ``amps`` (..., 2**n):
+    shape (..., 3). One strided contraction of the (..., L, 2, R) view with
+    its conjugate gives the 2x2 block of qubit i; the Pauli matrices are read
+    off it. Neither a reduction nor the operator kernel runs here."""
+    psi = amps.reshape(*amps.shape[:-1], 1 << (i - 1), 2, 1 << (n - i))
+    block = np.einsum("...lxr,...lyr->...xy", psi.conj(), psi)
+    return _s._real(np.einsum("axy,...xy->...a", _p._SIGMAS, block),
+                    f"<sigma_{{{i},a}}>", _p.HERMITIAN_RESIDUE_TOL)
 
 
 def _two_point(amps: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
-    """<sigma_{i,a} sigma_{j,b}> at index 3a + b through the operator kernel,
-    per vector of ``amps`` (..., 2**n): shape (..., 9)."""
-    ops = [PAULI_I] * n
-    values = []
-    for a in AXES:
-        ops[i - 1] = _p.PAULI_BY_LETTER[a]
-        for b in AXES:
-            ops[j - 1] = _p.PAULI_BY_LETTER[b]
-            values.append(_p._expectations(amps, n, ops, f"<{a}_{i} {b}_{j}>"))
-    return np.stack(values, axis=-1)
+    """<sigma_{i,a} sigma_{j,b}> at index 3a + b per vector of ``amps``
+    (..., 2**n): shape (..., 9). As ``_one_point``, from the 4x4 block of the
+    strided (..., L, 2, M, 2, R) view over the ordered pair; for i > j the
+    3x3 result is transposed so that a stays on qubit i."""
+    lo, hi = min(i, j), max(i, j)
+    psi = amps.reshape(*amps.shape[:-1], 1 << (lo - 1), 2, 1 << (hi - lo - 1), 2,
+                       1 << (n - hi))
+    block = np.einsum("...lxmyr,...lumvr->...xyuv", psi.conj(), psi)
+    t = np.einsum("axu,byv,...xyuv->...ab", _p._SIGMAS, _p._SIGMAS, block)
+    if i > j:
+        t = t.swapaxes(-1, -2)
+    return _s._real(t.reshape(*t.shape[:-2], 9), f"<sigma_{{{i},a}} sigma_{{{j},b}}>",
+                    _p.HERMITIAN_RESIDUE_TOL)
 
 
 def single_qubit_invariant(state: PureState, i: int) -> float:
@@ -114,7 +116,7 @@ def single_qubit_invariant_dm(state: PureState, i: int) -> float:
 def pair_invariant(state: PureState, i: int, j: int) -> float:
     """1 minus the nine squared two-point correlators <sigma_{i,a} sigma_{j,b}>.
 
-    The correlators come from the operator kernel; their squares are summed
+    The correlators come from one strided contraction; their squares are summed
     by one ``np.sum`` over the fixed order 3a + b, so the floating-point
     reduction is reproducible. The I_{ij} rows of the report read the same
     numbers off rho_ij instead, and ``verify`` compares the two routes.
@@ -511,7 +513,8 @@ def first_kind_fingerprint(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     reduction as ``partial_trace``, which holds at most one extra copy of the
     state at a time. It is the route of the report's I_{i} and I_{ij} rows;
     ``single_qubit_invariant`` and ``pair_invariant`` compute the same
-    correlators through the operator kernel instead, as its cross-check.
+    correlators by a strided contraction of the state instead, as its
+    cross-check.
     """
     _check_normalized(state)
     n = state.n_qubits

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -419,8 +419,9 @@ def verify_invariance(state: PureState, invariant: str, group: str,
     2**-26 * ``raw_norm ** degree`` of an image (too small for float64 to
     resolve a relative change of 1e-7), by ``raw_norm ** degree`` (1 on LU).
     The base comes from the row's per-operation reference, the images' values
-    from its batched evaluator: for I_{i} and I_{ij} two routes, so their
-    disagreement shows up as a deviation; other references share the
+    from its batched evaluator. For I_{i} and I_{ij} those are two routes, a
+    strided contraction of the state against reduced density matrices, so
+    their disagreement shows up as a deviation; other references share the
     evaluator's kernels. ``tol`` must be finite and > 0, ``seed``
     a non-negative integer. Sample k's operator, whatever the row, is
     ``random_lu`` (without phases) or ``random_sl`` at the sub-seed
@@ -489,10 +490,10 @@ def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
                 # argmax: the chunk's first NaN, else its first maximum
                 worst[name] = start + int((rel if group == SL_KIND else dev).argmax())
     metric = "rel" if group == SL_KIND else "abs"
-    reports = [VerificationReport(name, group, samples, max_abs[name], max_rel[name], seed,
-                                  tol, metric, passed=False, worst_sample=worst[name])
-               for name in names]
-    return [replace(r, passed=bool(r.deviation < tol)) for r in reports]
+    return [VerificationReport(name, group, samples, max_abs[name], max_rel[name], seed,
+                               tol, metric, passed=bool(verdict_max[name] < tol),
+                               worst_sample=worst[name])
+            for name in names]
 
 
 def applicable_invariants(n: int, group: str) -> list[str]:

@@ -106,16 +106,6 @@ def _apply_factors(amps: np.ndarray, n: int, ops: Sequence[np.ndarray]) -> np.nd
     return amps
 
 
-def _expectations(amps: np.ndarray, n: int, ops: Sequence[np.ndarray],
-                  what: str) -> np.ndarray:
-    """<psi|M|psi> per vector of ``amps`` (..., 2**n), M the product of ``ops``.
-
-    The imaginary residue of every value must stay below 1e-10.
-    """
-    return _real(_vdots(amps, _apply_factors(amps, n, ops)), what,
-                 HERMITIAN_RESIDUE_TOL)
-
-
 def _bilinears(amps: np.ndarray, n: int, ops: Sequence[np.ndarray]) -> np.ndarray:
     """<psi|M|psi*> per vector of ``amps`` (..., 2**n), M the product of ``ops``."""
     return _vdots(amps, _apply_factors(amps.conj(), n, ops))
@@ -156,8 +146,10 @@ def expectation(state: PureState, pauli: PauliString | str) -> float:
         raise LengthMismatchError(
             f"Pauli string has length {len(p)}, state has {n} qubits"
         )
+    psi = state.amplitudes
     ops = [PAULI_BY_LETTER[c] for c in p.letters]
-    return float(_expectations(state.amplitudes, n, ops, f"expectation of {p}"))
+    return float(_real(_vdots(psi, _apply_factors(psi, n, ops)), f"expectation of {p}",
+                       HERMITIAN_RESIDUE_TOL))
 
 
 def bilinear(state: PureState, ops: Sequence[np.ndarray]) -> complex:

@@ -30,6 +30,7 @@ from qinv import (
     three_tangle,
     triple_correlation_sum,
 )
+from qinv import pauli as _p
 from qinv import state as _s
 from qinv.invariants import invariant_table, report_entry_names
 
@@ -91,6 +92,31 @@ def test_pair_invariant_same_index(bell):
 def test_pair_identity_residual_examples(ghz3):
     assert pair_identity_residual(new_state(2, [1, 0, 0, 0]), 1, 2) == pytest.approx(0.0, abs=1e-12)
     assert pair_identity_residual(ghz3, 1, 2) == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_reversed_pair_order_gives_the_twin_value(n):
+    s = random_state(n, 540 + n)
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            for f in (pair_invariant, triple_correlation_sum, pair_identity_residual):
+                assert abs(f(s, j, i) - f(s, i, j)) <= 1e-15, (f.__name__, i, j)
+
+
+def test_one_and_two_point_rows_use_no_kernel_and_no_reduction(monkeypatch):
+    # The per-operation I_{i}/I_{ij} functions are the campaigns' independent
+    # base route: one strided contraction each, neither an operator
+    # application nor a reduced density matrix.
+    calls = []
+    for module, name in ((_p, "_apply_2x2"), (_s, "_reduced")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    s = random_state(5, 545)
+    for i in range(1, 6):
+        single_qubit_invariant(s, i)
+        for j in range(1, 6):
+            if i != j:
+                pair_invariant(s, i, j)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
