@@ -145,17 +145,21 @@ def concurrence(state: PureState) -> complex:
 
     Quadratic in the amplitudes, so it is evaluated as-is even on states
     carrying a non-unit norm (determinant-one local operators change the norm
-    but not this value).
+    but not this value). T is applied qubit by qubit with the operator kernel,
+    as ``bilinear`` does; the report's C row (``_concurrence``) takes one
+    spin-flip contraction instead, so a campaign's base value and its images'
+    values come from two routes.
     """
     n = state.n_qubits
     if n % 2 != 0:
         raise OddQubitCountError(f"concurrence needs an even qubit count, got {n}")
-    return complex(_concurrence(state.amplitudes, n))
+    return complex(_p._bilinears(state.amplitudes, n, (SPIN_FLIP,) * n))
 
 
 def _concurrence(amps: np.ndarray, n: int) -> np.ndarray:
-    """``concurrence`` per vector of ``amps`` (..., 2**n), n even."""
-    return _p._bilinears(amps, n, (SPIN_FLIP,) * n)
+    """``concurrence`` per vector of ``amps`` (..., 2**n), n even: the one entry
+    of the spin-flip Gram block ``pauli._flip_gram`` with no free qubit."""
+    return _p._flip_gram(amps, n, 0)[..., 0, 0]
 
 
 def odd_tangle(state: PureState) -> complex:
@@ -163,19 +167,24 @@ def odd_tangle(state: PureState) -> complex:
 
     With T on qubits 1..n-1 and w in {sigma_x, sigma_z, identity} on the last
     qubit, returns b_x^2 + b_z^2 - b_1^2. Like ``concurrence`` it is evaluated
-    on the raw amplitudes regardless of norm.
+    on the raw amplitudes regardless of norm, with the operator kernel, while
+    the report's Z row (``_odd_tangle``) takes one spin-flip contraction.
     """
     n = state.n_qubits
     if n % 2 == 0:
         raise EvenQubitCountError(f"odd_tangle needs an odd qubit count, got {n}")
-    return complex(_odd_tangle(state.amplitudes, n))
+    base = (SPIN_FLIP,) * (n - 1)
+    b_x, b_z, b_1 = (_p._bilinears(state.amplitudes, n, base + (w,))
+                     for w in (PAULI_X, PAULI_Z, PAULI_I))
+    return complex(b_x**2 + b_z**2 - b_1**2)
 
 
 def _odd_tangle(amps: np.ndarray, n: int) -> np.ndarray:
-    """``odd_tangle`` per vector of ``amps`` (..., 2**n), n odd."""
-    base = (SPIN_FLIP,) * (n - 1)
-    b_x, b_z, b_1 = (_p._bilinears(amps, n, base + (w,))
-                     for w in (PAULI_X, PAULI_Z, PAULI_I))
+    """``odd_tangle`` per vector of ``amps`` (..., 2**n), n odd, from the
+    spin-flip Gram block G with the last qubit free: b_w = sum_ts w[t, s] G[t, s]."""
+    g = _p._flip_gram(amps, n, 1)
+    g00, g01, g10, g11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]
+    b_x, b_z, b_1 = g01 + g10, g00 - g11, g00 + g11
     return b_x**2 + b_z**2 - b_1**2
 
 

@@ -420,7 +420,8 @@ def verify_invariance(state: PureState, invariant: str, group: str,
     resolve a relative change of 1e-7), by ``raw_norm ** degree`` (1 on LU).
     The base comes from the row's per-operation reference, the images' values
     from its batched evaluator. For I_{i} and I_{ij} those are two routes, a
-    strided contraction of the state against reduced density matrices, so
+    strided contraction of the state against reduced density matrices, and
+    for C and Z the operator kernel against one spin-flip contraction, so
     their disagreement shows up as a deviation; other references share the
     evaluator's kernels. ``tol`` must be finite and > 0, ``seed``
     a non-negative integer. Sample k's operator, whatever the row, is

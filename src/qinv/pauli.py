@@ -111,6 +111,36 @@ def _bilinears(amps: np.ndarray, n: int, ops: Sequence[np.ndarray]) -> np.ndarra
     return _vdots(amps, _apply_factors(amps.conj(), n, ops))
 
 
+# (-1)^popcount(y) for y < 2**12, built by doubling: the signs of y and of
+# y + 2**k differ by the added bit. Its first 2**k entries are the signs of
+# k-bit indices, so both halves of a 24-bit index read prefixes of it.
+_SIGNS = np.ones(1)
+while _SIGNS.size < 1 << 12:
+    _SIGNS = np.concatenate([_SIGNS, -_SIGNS])
+_SIGNS.setflags(write=False)
+
+
+def _flip_gram(amps: np.ndarray, n: int, free: int) -> np.ndarray:
+    """Spin-flip Gram block of ``amps`` (..., 2**n), shape (..., 2**free, 2**free).
+
+    With a = conj(amps) viewed as (..., 2**(n - free), 2**free), returns
+    G[t, s] = sum_y (-1)^|y| a[y, t] a[~y, s], where ~y is the bitwise
+    complement and |y| the number of set bits: (T x ... x T v)[y] =
+    (-1)^|y| v[~y] for T = i sigma_y on the first n - free qubits, so
+    <psi| T x ... x T x W |psi*> = sum_ts W[t, s] G[t, s] for a 2**free x
+    2**free matrix W. One einsum over the state: ~y is a reversed view,
+    and the sign is the product of the signs of y's high and low halves.
+    The sum runs on the amplitudes and is conjugated at the end, which is
+    exact, so neither conj(amps) nor a sign array of 2**n entries is made.
+    """
+    m = n - free
+    high = m // 2
+    psi = amps.reshape(*amps.shape[:-1], 1 << high, 1 << (m - high), 1 << free)
+    g = np.einsum("h,l,...hlt,...hls->...ts", _SIGNS[:1 << high],
+                  _SIGNS[:1 << (m - high)], psi, psi[..., ::-1, ::-1, :])
+    return g.conj()
+
+
 def _wrap(n: int, amps: np.ndarray) -> PureState:
     nsq = float(np.vdot(amps, amps).real)
     return PureState(n, amps, is_normalized=abs(nsq - 1.0) <= NORM_SQ_TOL)

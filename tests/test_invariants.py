@@ -30,11 +30,12 @@ from qinv import (
     three_tangle,
     triple_correlation_sum,
 )
+from qinv import invariants as _inv
 from qinv import pauli as _p
 from qinv import state as _s
 from qinv.invariants import invariant_table, report_entry_names
 
-from oracles import dense_pauli
+from oracles import EYE2, SX, SY, SZ, dense_bilinear, dense_pauli
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -161,6 +162,82 @@ def test_odd_tangle_single_qubit_vanishes():
     for seed in range(10):
         s = random_state(1, seed)
         assert odd_tangle(s) == pytest.approx(0.0, abs=1e-12)
+
+
+def _dense_second_kind(psi, n):
+    """C (even n) or Z (odd n) of one vector from dense Kronecker products."""
+    flips = [1j * SY] * (n - n % 2)
+    if n % 2 == 0:
+        return dense_bilinear(psi, flips)
+    b_x, b_z, b_1 = (dense_bilinear(psi, flips + [w]) for w in (SX, SZ, EYE2))
+    return b_x**2 + b_z**2 - b_1**2
+
+
+def _check_second_kind(n, stack):
+    # The batched C/Z evaluator (spin-flip contraction) on one vector and on a
+    # stack, against the dense oracle and the public operator-kernel function.
+    batched, public = ((_inv._concurrence, concurrence) if n % 2 == 0
+                       else (_inv._odd_tangle, odd_tangle))
+    got = batched(stack, n)
+    assert got.shape == stack.shape[:1]
+    for psi, row in zip(stack, got):
+        want = _dense_second_kind(psi, n)
+        one = batched(psi, n)
+        assert np.ndim(one) == 0
+        assert abs(one - want) <= 1e-14 and abs(row - want) <= 1e-14, (one, row, want)
+        assert abs(row - public(PureState(n, psi, is_normalized=True))) <= 1e-14
+    return got
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_batched_second_kind_matches_the_dense_oracle(n):
+    _check_second_kind(n, np.array([random_state(n, 700 + 10 * n + k).amplitudes
+                                    for k in range(4)]))
+
+
+def _ghz(n):
+    amps = np.zeros(1 << n)
+    amps[0] = amps[-1] = S2
+    return amps
+
+
+_PLUS_I = np.array([S2, 1j * S2])
+_TILTED = np.array([0.6, 0.8])
+
+
+@pytest.mark.parametrize("n, amps, value", [
+    *[(n, _ghz(n), 1.0) for n in range(2, 11)],
+    *[(n, np.eye(1, 1 << n)[0], 0.0) for n in range(1, 11)],
+    (3, np.array([0, 1, 1, 0, 1, 0, 0, 0]) / np.sqrt(3.0), 0.0),  # W_3
+    (2, np.array([S2, 0, 0, S2]), 1.0),  # Bell
+    (1, _PLUS_I, 0.0),
+    (1, _TILTED, 0.0),
+    (2, np.kron(_PLUS_I, _TILTED), 0.0),
+    (2, np.kron(_TILTED, _TILTED), 0.0),
+])
+def test_batched_second_kind_on_named_states(n, amps, value):
+    got = _check_second_kind(n, np.array([amps, amps]))
+    assert np.all(np.abs(got - value) <= 1e-14)
+
+
+@pytest.mark.parametrize("n", [4, 5, 12])
+def test_report_applies_no_operator(monkeypatch, n):
+    # The report's C/Z row is one spin-flip contraction; only the public
+    # function applies T qubit by qubit: n calls for C, 3n - 1 for Z (the
+    # identity on the last qubit is skipped).
+    calls = []
+    apply_2x2 = _p._apply_2x2
+
+    def counting(*args):
+        calls.append(args[2])
+        return apply_2x2(*args)
+
+    monkeypatch.setattr(_p, "_apply_2x2", counting)
+    s = random_state(n, 560 + n)
+    invariant_report(s)
+    assert calls == []
+    (concurrence if n % 2 == 0 else odd_tangle)(s)
+    assert len(calls) == (n if n % 2 == 0 else 3 * n - 1)
 
 
 # ------------------------------------------------------ triple correlation sum

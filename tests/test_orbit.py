@@ -555,6 +555,20 @@ def test_tampered_route_fails_a_batched_campaign(monkeypatch, name, routes):
         _inv.invariant_table(3)[name].batched(images, 5)
 
 
+@pytest.mark.parametrize("group, tol", [("LU", 1e-9), ("SL", 1e-7)])
+@pytest.mark.parametrize("n, name", [(4, "C"), (3, "Z")])
+def test_shifted_flip_gram_fails_the_c_and_z_campaigns(monkeypatch, n, name, group, tol):
+    # The images' C/Z values come from the spin-flip contraction and the base
+    # value from the operator kernel, so a shift of the contraction alone
+    # must show up as a deviation.
+    s = random_state(n, 71)
+    assert verify_invariance(s, name, group, 10, tol, 0).passed
+    flip_gram = _p._flip_gram
+    monkeypatch.setattr(_p, "_flip_gram", lambda *args: flip_gram(*args) + 1e-6)
+    report = verify_invariance(s, name, group, 10, tol, 0)
+    assert not report.passed and report.deviation > 1e-7
+
+
 def test_campaign_kernel_calls_do_not_grow_with_samples(monkeypatch):
     # Deterministic guard on the batching: applying the images costs one
     # _apply_2x2 call per qubit and chunk, whatever the sample count, and the
