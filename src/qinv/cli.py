@@ -124,6 +124,7 @@ def report_to_json_dict(report: InvariantReport) -> dict:
         "n": report.n_qubits,
         "invariants": invariants,
         "tolerances": dict(report.tolerances),
+        "metadata": dict(report.metadata),
     }
 
 

@@ -336,32 +336,45 @@ _PAULI_ROWS = {
 
 
 def _correlations(amps: np.ndarray, n: int, keeps: list[tuple[int, ...]],
-                  first: int | None = None) -> np.ndarray:
+                  first: int | None = None) -> dict[int, np.ndarray]:
     """Pauli correlators of ``amps`` reduced to each keep-set of ``keeps``.
 
-    The keep-sets all have one size, 1 or 2; the result has shape
-    (..., len(keeps), 3), resp. (..., len(keeps), 9) with
-    <sigma_{i,a} sigma_{j,b}> at 3a + b. Each reduction is ``state._reduced``
-    (one copy of the vectors at a time). They are stacked, so the
-    DensityMatrix checks and the 1e-10 imaginary-residue check run once per
-    call, not once per keep-set; a failed check names the keep-set's row.
+    The keep-sets have one or two qubits each. The result maps each size
+    present to its correlators in the order of ``keeps``: shape
+    (..., singles, 3), resp. (..., pairs, 9) with <sigma_{i,a} sigma_{j,b}>
+    at 3a + b. The reductions come from one ``state._reductions`` call, so
+    from n = 12 on singles and pairs share the unions of qubit blocks that
+    serve them. Each size's rhos are stacked, so the DensityMatrix checks and
+    the 1e-10 imaginary-residue check run once per size, not once per
+    keep-set; a failed check names the keep-set's row.
     """
-    rho = np.stack([_s._reduced(amps, n, kept) for kept in keeps], axis=-3)
-    names = [single_name(*kept) if len(kept) == 1 else pair_name(*kept, n)
-             for kept in keeps]
-    _s._check_density(rho, first, names)
-    # One vector-matrix product per reduction: one matmul over all of them
-    # rounds differently when it has one row, so values would depend on stacking.
-    t = (rho.reshape(*rho.shape[:-2], 1, -1) @ _PAULI_ROWS[len(keeps[0])].T)[..., 0, :]
-    return _s._real(t, f"{len(keeps[0])}-point correlators", _p.HERMITIAN_RESIDUE_TOL,
-                    first, names)
+    rhos = _s._reductions(amps, n, keeps)
+    out = {}
+    for size in (1, 2):
+        idx = [k for k, kept in enumerate(keeps) if len(kept) == size]
+        if not idx:
+            continue
+        rho = np.stack([rhos[k] for k in idx], axis=-3)
+        names = [single_name(*keeps[k]) if size == 1 else pair_name(*keeps[k], n)
+                 for k in idx]
+        _s._check_density(rho, first, names)
+        # One vector-matrix product per reduction: one matmul over all of them
+        # rounds differently when it has one row, so values would depend on stacking.
+        t = (rho.reshape(*rho.shape[:-2], 1, -1) @ _PAULI_ROWS[size].T)[..., 0, :]
+        out[size] = _s._real(t, f"{size}-point correlators", _p.HERMITIAN_RESIDUE_TOL,
+                             first, names)
+    return out
 
 
 def _first_kind(amps: np.ndarray, n: int, keeps: list[tuple[int, ...]],
                 first: int | None = None) -> np.ndarray:
     """I_{i} or I_{ij} per keep-set: 1 minus the keep-set's squared
     correlators, shape (..., len(keeps))."""
-    return 1.0 - np.sum(_correlations(amps, n, keeps, first) ** 2, axis=-1)
+    sizes = np.array([len(kept) for kept in keeps])
+    values = np.empty((*amps.shape[:-1], len(keeps)))
+    for size, t in _correlations(amps, n, keeps, first).items():
+        values[..., sizes == size] = 1.0 - np.sum(t ** 2, axis=-1)
+    return values
 
 
 def _purity(amps: np.ndarray, n: int, qubit: int, first: int | None) -> np.ndarray:
@@ -453,14 +466,13 @@ def invariant_table(n: int) -> dict[str, Invariant]:
 def _evaluate(amps: np.ndarray, n: int, rows: dict[str, Invariant],
               first: int | None) -> dict[str, np.ndarray]:
     """Values of table ``rows`` per vector of ``amps`` (..., 2**n), by name:
-    one stacked ``_first_kind`` call for the I_{i} rows and one for the I_{ij}
-    rows; every other row runs its batched evaluator with ``first``."""
-    values: dict[str, np.ndarray] = {}
-    for size in (1, 2):
-        names = [name for name, row in rows.items() if len(row.kept) == size]
-        if names:
-            stacked = _first_kind(amps, n, [rows[name].kept for name in names], first)
-            values.update(zip(names, np.moveaxis(stacked, -1, 0)))
+    one ``_first_kind`` call for the I_{i} and I_{ij} rows together; every
+    other row runs its batched evaluator with ``first``."""
+    names = [name for name, row in rows.items() if row.kept]
+    values = {}
+    if names:
+        stacked = _first_kind(amps, n, [rows[name].kept for name in names], first)
+        values = dict(zip(names, np.moveaxis(stacked, -1, 0)))
     return {name: values[name] if row.kept else row.batched(amps, first)
             for name, row in rows.items()}
 
@@ -518,22 +530,23 @@ def first_kind_fingerprint(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(singles, pairs)`` where ``singles[i-1, a]`` is <sigma_{i,a}> =
     tr(rho_i sigma_a) and ``pairs[i-1, j-1]`` (i < j only; other blocks are
     NaN) is the 3x3 block <sigma_{i,a} sigma_{j,b}> = tr(rho_ij sigma_a (x)
-    sigma_b). There is one route at every n: each rho comes from the same
-    reduction as ``partial_trace``, which holds at most one extra copy of the
-    state at a time. It is the route of the report's I_{i} and I_{ij} rows;
-    ``single_qubit_invariant`` and ``pair_invariant`` compute the same
+    sigma_b). Every rho comes from one ``state._reductions`` pass over all
+    singles and pairs, which holds at most one extra copy of the state at a
+    time: one reduction per keep-set below n = 12, one per union of two qubit
+    blocks from n = 12 on. It is the route of the report's I_{i} and I_{ij}
+    rows; ``single_qubit_invariant`` and ``pair_invariant`` compute the same
     correlators by a strided contraction of the state instead, as its
     cross-check.
     """
     _check_normalized(state)
     n = state.n_qubits
-    psi = state.amplitudes
-    singles = _correlations(psi, n, [(i,) for i in range(1, n + 1)])
+    keeps = [(i,) for i in range(1, n + 1)]
+    keeps += [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    corr = _correlations(state.amplitudes, n, keeps)
     pairs = np.full((n, n, 3, 3), np.nan, dtype=np.float64)
     if n > 1:
-        keeps = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-        pairs[np.triu_indices(n, 1)] = _correlations(psi, n, keeps).reshape(-1, 3, 3)
-    return singles, pairs
+        pairs[np.triu_indices(n, 1)] = corr[2].reshape(-1, 3, 3)
+    return corr[1], pairs
 
 
 def invariant_report(state: PureState, seed: int | None = None) -> InvariantReport:

@@ -232,7 +232,9 @@ def _reduced(amps: np.ndarray, n: int, kept: Sequence[int]) -> np.ndarray:
     of the cut shares one axis, so a pair reduction transposes an
     (L, 2, M, 2, R) tensor, never a (2,)*n one. Real and imaginary parts go
     through that transpose together as floats and meet in one real Gram
-    product, so the transposed array is the only copy of the vectors made here.
+    product, so the transposed array is the only copy of the vectors made
+    here, and each call makes one. ``_reductions`` shares one call among
+    many small keep-sets.
     """
     keep = set(kept)
     lead = amps.shape[:-1]
@@ -249,6 +251,60 @@ def _reduced(amps: np.ndarray, n: int, kept: Sequence[int]) -> np.ndarray:
     f = parts.transpose(order).reshape(*lead, 2 * side, -1)
     gram = (f @ f.swapaxes(-1, -2)).reshape(*lead, 2, side, 2, side)
     return np.einsum("pq,...piqj->...ij", _RE_IM_WEIGHTS, gram)
+
+
+# Qubits per block of ``_reductions``: a union of two blocks keeps up to six.
+_BLOCK = 3
+
+
+def _home(n: int, kept: Sequence[int]) -> tuple[int, ...]:
+    """The union of two blocks whose reduction serves the one or two qubits
+    ``kept``: their two blocks if they lie in two, else their block and the
+    next one (the previous one for the last block)."""
+    last = (n - 1) // _BLOCK
+    blocks = sorted({(q - 1) // _BLOCK for q in kept})
+    if len(blocks) == 1:
+        b = blocks[0]
+        blocks = [b, b + 1] if b < last else [b - 1, b]
+    return tuple(q for q in range(1, n + 1) if (q - 1) // _BLOCK in blocks)
+
+
+def _reductions(amps: np.ndarray, n: int, keeps: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    """``_reduced(amps, n, kept)`` for each keep-set of one or two qubits in
+    ``keeps``, each within rounding of that call.
+
+    The qubits fall into consecutive blocks of ``_BLOCK``. Each keep-set has a
+    home union of two blocks (``_home``), and one ``_reduced`` call over each
+    home in use serves every keep-set at home there: its rho is a small
+    partial trace of the union's. At n = 17 that is 15 copies of the vectors
+    instead of 153. A home depends on (n, kept) alone, so a keep-set's rho
+    does not depend on which others share the call. The route is taken only
+    while a union's density matrix is no larger than one vector (n >= 12);
+    below that each keep-set takes its own ``_reduced`` call.
+    """
+    if 4 ** (2 * _BLOCK) > 1 << n:
+        return [_reduced(amps, n, kept) for kept in keeps]
+    lead = amps.shape[:-1]
+    homes: dict[tuple[int, ...], list[int]] = {}
+    for k, kept in enumerate(keeps):
+        homes.setdefault(_home(n, kept), []).append(k)
+    out: list[np.ndarray] = [np.empty(0)] * len(keeps)
+    for home, members in homes.items():  # one union held at a time
+        union = _reduced(amps, n, home)
+        u = len(home)
+        for k in members:
+            # Rows and columns of the union index (a, x, b, y, c) with x, y
+            # the kept qubits; the partial trace sums the diagonal of a, b, c.
+            p, *rest = sorted(home.index(q) for q in keeps[k])
+            if rest:
+                dims = (1 << p, 2, 1 << (rest[0] - p - 1), 2, 1 << (u - rest[0] - 1))
+                sub = "...axbycaubvc->...xyuv"
+            else:
+                dims = (1 << p, 2, 1 << (u - p - 1))
+                sub = "...axbayb->...xy"
+            rho = np.einsum(sub, union.reshape(*lead, *dims, *dims))
+            out[k] = rho.reshape(*lead, 2 << len(rest), 2 << len(rest))
+    return out
 
 
 def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:

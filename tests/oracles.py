@@ -50,6 +50,18 @@ def ptrace_outer_product(psi: np.ndarray, keep) -> np.ndarray:
     return rho.reshape(side, side)
 
 
+def ptrace_tensordot(psi: np.ndarray, keep) -> np.ndarray:
+    """Partial trace by contracting the traced axes of the (2,)*n tensor with
+    those of its conjugate: no 2^n x 2^n matrix, so it reaches n = 14."""
+    n = int(round(np.log2(psi.size)))
+    keep = sorted(set(keep))
+    traced = [q - 1 for q in range(1, n + 1) if q not in keep]
+    t = psi.reshape((2,) * n)
+    rho = np.tensordot(t, t.conj(), axes=(traced, traced))
+    side = 1 << len(keep)
+    return rho.reshape(side, side)
+
+
 def adjoint_defining_residual(u: np.ndarray, rot: np.ndarray) -> float:
     """Worst entrywise error of u^-1 sigma_i u == sum_j rot[i,j] sigma_j."""
     sigmas = (SX, SY, SZ)

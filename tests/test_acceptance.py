@@ -204,7 +204,7 @@ def test_criterion_11_cli_end_to_end(tmp_path, capsys):
                    main(["compute", "-s", str(state_file), "--format", "json"]) == 0))
     computed = json.loads(capsys.readouterr().out)
     checks.append(("compute emits report schema",
-                   set(computed) == {"n", "invariants", "tolerances"}))
+                   set(computed) == {"n", "invariants", "tolerances", "metadata"}))
 
     # compare state against its own local-unitary image: indistinguishable
     state = load_state(str(state_file))

@@ -129,7 +129,7 @@ def test_compute_unnormalized_requires_flag(tmp_path, capsys):
 def test_compute_ghz_json_schema(ghz_file, capsys):
     assert main(["compute", "-s", ghz_file, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert set(data) == {"n", "invariants", "tolerances"}
+    assert set(data) == {"n", "invariants", "tolerances", "metadata"}
     assert data["n"] == 3
     inv = data["invariants"]
     assert inv["I_6"]["kind"] == "real"
@@ -138,6 +138,12 @@ def test_compute_ghz_json_schema(ghz_file, capsys):
     z_re, z_im = inv["Z"]["value"]
     assert z_re == pytest.approx(1.0, abs=1e-9)
     assert z_im == pytest.approx(0.0, abs=1e-9)
+
+
+def test_compute_json_carries_the_report_metadata(ghz_file, capsys):
+    assert main(["compute", "-s", ghz_file, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["metadata"] == {"state_digest": load_state(ghz_file).digest()}
 
 
 def test_compute_basis_state_text(tmp_path, capsys):

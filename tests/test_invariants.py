@@ -458,9 +458,11 @@ def test_one_table_drives_report_names_and_selectors():
         assert applicable_invariants(n, "SL") == ["C" if n % 2 == 0 else "Z"]
 
 
-def test_report_runs_one_density_check_per_stack(monkeypatch):
+@pytest.mark.parametrize("n", [10, 13])
+def test_report_runs_one_density_check_per_stack(monkeypatch, n):
     # Deterministic guard on the stacked evaluator: all singles share one
-    # DensityMatrix check and all pairs another, whatever n is.
+    # DensityMatrix check and all pairs another, whatever n is; at n = 13
+    # the unions of qubit blocks that serve them are not checked.
     shapes = []
     check_density = _s._check_density
 
@@ -469,8 +471,28 @@ def test_report_runs_one_density_check_per_stack(monkeypatch):
         return check_density(m, *args)
 
     monkeypatch.setattr(_s, "_check_density", counting)
-    invariant_report(random_state(10, 80))
-    assert shapes == [(10, 2, 2), (45, 4, 4)]
+    invariant_report(random_state(n, 80))
+    assert shapes == [(n, 2, 2), (n * (n - 1) // 2, 4, 4)]
+
+
+@pytest.mark.parametrize("n, copies", [(10, 55), (12, 6), (17, 15)])
+def test_first_kind_rows_share_block_reductions(monkeypatch, n, copies):
+    # Each state._reduced call copies the state once. Up to n = 11 every
+    # single and pair takes its own; from n = 12 on one call per union of
+    # two 3-qubit blocks serves singles and pairs alike.
+    calls = []
+    reduced = _s._reduced
+
+    def counting(amps, n, kept):
+        calls.append(kept)
+        return reduced(amps, n, kept)
+
+    monkeypatch.setattr(_s, "_reduced", counting)
+    state = random_state(n, 81)
+    for run in (invariant_report, first_kind_fingerprint):
+        calls.clear()
+        run(state)
+        assert len(calls) == copies, run.__name__
 
 
 # ------------------------------------------------- independence of I_1..I_6

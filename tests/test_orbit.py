@@ -675,7 +675,7 @@ def _ghz(n):
 
 
 @pytest.mark.parametrize("group", ["LU", "SL"])
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 12, 13])
 def test_campaign_equals_the_one_row_campaigns(n, group):
     # One sample (and the last chunk of 33 at n = 7) puts one image in a
     # chunk: a row's value must not depend on how many rows share its stack.
@@ -720,21 +720,30 @@ def test_group_is_case_insensitive(ghz3, group):
     assert verify_invariance(ghz3, names[-1], group, 5, 1e-7, 0).group == group.upper()
 
 
-def test_stacked_density_check_names_the_row_and_sample(monkeypatch):
-    # Break the trace of qubit pair (1, 3) from sample 2 on, in stacks of
-    # images only: the stacked check of all I_{ij} rows names that row.
+@pytest.mark.parametrize("n, target, row", [
+    (3, (1, 3), r"I_\{13\}"),
+    # At n = 13 the reduction over blocks (1, 2, 3) and (7, 8, 9) serves
+    # the pairs across them, of which (1, 7) comes first, and no single.
+    (13, (1, 2, 3, 7, 8, 9), r"I_\{1,7\}"),
+], ids=["3", "13"])
+def test_stacked_density_check_names_the_row_and_sample(monkeypatch, n, target, row):
+    # Break the trace of the reduction over ``target`` from sample 2 on, in
+    # stacks of images only: the stacked check of all I_{ij} rows names the
+    # first row it serves. From n = 12 on each stack holds one image.
     reduced = _s._reduced
+    seen = [0]  # images of the stacks reduced over ``target`` so far
 
     def tampered(amps, n, kept):
         rho = reduced(amps, n, kept)
-        if amps.ndim > 1 and tuple(kept) == (1, 3):
-            rho[2:] *= 1.1
+        if amps.ndim > 1 and tuple(kept) == target:
+            rho[max(0, 2 - seen[0]):] *= 1.1
+            seen[0] += len(amps)
         return rho
 
     monkeypatch.setattr(_s, "_reduced", tampered)
-    names = applicable_invariants(3, "LU")
-    with pytest.raises(ValueError, match=r"^sample 2: I_\{13\}: density matrix trace"):
-        _orbit._campaign(random_state(3, 92), names, "LU", 10, 1e-9, 0)
+    names = applicable_invariants(n, "LU")
+    with pytest.raises(ValueError, match=rf"^sample 2: {row}: density matrix trace"):
+        _orbit._campaign(random_state(n, 92), names, "LU", 10, 1e-9, 0)
 
 
 def test_stacked_residue_check_names_the_row_and_sample(monkeypatch):
@@ -894,7 +903,7 @@ def test_lu_campaign_compares_complex_rows_by_value(monkeypatch):
     assert report.worst_sample == 7 and not report.passed
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 5, 13])
 def test_shifted_reductions_fail_the_one_and_two_point_rows(monkeypatch, n):
     # The images' I_{i}/I_{ij} values are read off state._reduced, so their
     # base must come from another route: mixing every reduction with a
@@ -909,6 +918,11 @@ def test_shifted_reductions_fail_the_one_and_two_point_rows(monkeypatch, n):
 
     monkeypatch.setattr(_s, "_reduced", shifted)
     state = random_state(n, 96)
+    if n > 5:
+        # A random state this large has nearly maximally mixed one- and
+        # two-qubit marginals, which the shift moves by about 2e-10 at
+        # n = 13, by either route. Adding |0...0> keeps them far from mixed.
+        state = qinv.new_state(n, state.amplitudes + np.eye(1, 1 << n)[0], normalize=True)
     table = _inv.invariant_table(n)
     for name in [name for name, row in table.items() if row.kept]:
         report = verify_invariance(state, name, "LU", 5, 1e-9, 0)

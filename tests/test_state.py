@@ -27,9 +27,10 @@ from qinv import (
     random_state,
     trace_power,
 )
+from qinv import state as _s
 
 from conftest import subprocess_env
-from oracles import ptrace_outer_product
+from oracles import ptrace_outer_product, ptrace_tensordot
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -148,6 +149,25 @@ def test_ptrace_matches_outer_product_oracle(n):
         got = partial_trace(s, keep).matrix
         want = ptrace_outer_product(s.amplitudes, keep)
         assert_allclose(got, want, atol=1e-12)
+        assert_allclose(ptrace_tensordot(s.amplitudes, keep), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_block_reductions_match_the_oracle(n):
+    # From n = 12 on every one- and two-qubit rho is a partial trace of a
+    # union of two 3-qubit blocks; the last block holds 3, 1 and 2 qubits
+    # at n = 12, 13 and 14. Single vectors and stacks of three.
+    assert 4 ** (2 * _s._BLOCK) <= 1 << n
+    keeps = [(i,) for i in range(1, n + 1)]
+    keeps += [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    stack = np.stack([random_state(n, 110 + n + k).amplitudes for k in range(3)])
+    for amps in (stack[0], stack):
+        rhos = _s._reductions(amps, n, keeps)
+        for kept, rho in zip(keeps, rhos):
+            want = [ptrace_tensordot(v, kept) for v in amps.reshape(-1, 1 << n)]
+            assert_allclose(rho.reshape(-1, *rho.shape[-2:]), want, rtol=0, atol=1e-14,
+                            err_msg=str(kept))
+            assert rho.shape == amps.shape[:-1] + want[0].shape
 
 
 def test_ptrace_improper_subset_is_projector(ghz3):
