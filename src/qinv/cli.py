@@ -13,6 +13,7 @@ without --normalize; 4 qubit-count mismatch (compare); 5 unwritable output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -60,6 +61,19 @@ def write_state(state: PureState, path: str) -> None:
     Path(path).write_text(dumps_state(state), encoding="utf-8")
 
 
+def _number_pairs(raw: list) -> np.ndarray | None:
+    """The amplitudes of a list of [re, im] JSON-number pairs, from one array
+    conversion; None if some entry is not such a pair or overflows float64."""
+    try:
+        if set(map(type, itertools.chain.from_iterable(raw))) <= {int, float}:
+            pairs = np.array(raw, dtype=np.float64)
+            if pairs.shape == (len(raw), 2):
+                return pairs.view(np.complex128)[:, 0]
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
+
+
 def load_state(path: str, normalize: bool = False) -> PureState:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -90,18 +104,20 @@ def load_state(path: str, normalize: bool = False) -> PureState:
             f"{path}: expected {1 << n} amplitude pairs for n_qubits={n}, "
             f"got {len(raw)}"
         )
-    amps = np.empty(len(raw), dtype=np.complex128)
-    for k, item in enumerate(raw):
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                           for v in item)):
-            raise StateFileError(
-                f"{path}: amplitudes[{k}]: expected a [re, im] number pair, got {item!r}"
-            )
-        try:
-            amps[k] = complex(item[0], item[1])
-        except OverflowError:
-            raise StateFileError(f"{path}: amplitudes[{k}]: integer out of float64 range")
+    amps = _number_pairs(raw)
+    if amps is None:  # name the first entry that is not a pair of numbers
+        amps = np.empty(len(raw), dtype=np.complex128)
+        for k, item in enumerate(raw):
+            if (not isinstance(item, list) or len(item) != 2
+                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                               for v in item)):
+                raise StateFileError(
+                    f"{path}: amplitudes[{k}]: expected a [re, im] number pair, got {item!r}"
+                )
+            try:
+                amps[k] = complex(item[0], item[1])
+            except OverflowError:
+                raise StateFileError(f"{path}: amplitudes[{k}]: integer out of float64 range")
     try:
         return new_state(n, amps, normalize=normalize)
     except UnnormalizedError as exc:

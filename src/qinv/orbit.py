@@ -16,9 +16,12 @@ one chunk up to n = 5, and a chunk holds one sample from n = 12 on). Sample k's
 operator is ``random_lu`` or ``random_sl`` at the sub-seed
 ``SeedSequence((seed, k)).generate_state(1)[0]``, bit for bit, so numpy alone
 replays it; a campaign computes the generator words of up to 4096 samples at
-once by running numpy's SeedSequence on uint32 columns. Per chunk, the group
-draws, validates and applies one (chunk, n, 2, 2) stack of operators, so
-sample k has one operator whatever the invariant, and
+once by running numpy's SeedSequence on uint32 columns. An LU campaign builds
+no generator: ``_pcg64_uniforms`` computes each sample's PCG64 doubles from
+its words in closed form on uint64 arrays. SL campaigns keep one generator per
+sample, since numpy's ziggurat normals rest on tables it does not expose. Per
+chunk, the group draws, validates and applies one (chunk, n, 2, 2) stack of
+operators, so sample k has one operator whatever the invariant, and
 ``invariants._evaluate``, the report's evaluator, evaluates every invariant
 with every check of its per-operation route on the (chunk, 2**n) stack of
 images. ``random_lu``, ``random_sl``, ``LocalOperator`` and ``apply_local``
@@ -27,6 +30,7 @@ are the one-sample case of the same code.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -204,17 +208,31 @@ def _euler_unitary(alpha, omega, beta) -> np.ndarray:
 _EULER_WIDTHS = np.array([2.0 * np.pi, np.pi, 2.0 * np.pi, 2.0 * np.pi])
 
 
+def _euler_factors(u: np.ndarray) -> np.ndarray:
+    """Euler-angle factors from uniforms on [0, 1), (samples, n, 3), or
+    (samples, n, 4) whose last column draws a global phase per factor:
+    shape (samples, n, 2, 2)."""
+    samples, n, cols = u.shape
+    angles = (u * _EULER_WIDTHS[:cols]).reshape(-1, cols)
+    f = _euler_unitary(angles[:, 0], angles[:, 1], angles[:, 2])
+    if cols == 4:
+        f = np.exp(1j * angles[:, 3])[:, None, None] * f
+    return f.reshape(samples, n, 2, 2)
+
+
 def _draw_lu(rngs: Iterable[np.random.Generator], n: int,
              global_phase: bool = False) -> np.ndarray:
     """The factors ``random_lu`` builds from each generator, unvalidated:
     shape (samples, n, 2, 2)."""
     cols = 4 if global_phase else 3
-    angles = np.array([rng.random((n, cols)) for rng in rngs])
-    angles = (angles * _EULER_WIDTHS[:cols]).reshape(-1, cols)
-    u = _euler_unitary(angles[:, 0], angles[:, 1], angles[:, 2])
-    if global_phase:
-        u = np.exp(1j * angles[:, 3])[:, None, None] * u
-    return u.reshape(-1, n, 2, 2)
+    return _euler_factors(np.array([rng.random((n, cols)) for rng in rngs]))
+
+
+def _lu_from_words(words: np.ndarray, n: int, global_phase: bool = False) -> np.ndarray:
+    """``_draw_lu`` of the generators that rows of ``_seed_words`` seed, bit
+    for bit, drawn by ``_pcg64_uniforms`` without building a generator."""
+    cols = 4 if global_phase else 3
+    return _euler_factors(_pcg64_uniforms(words, n * cols).reshape(-1, n, cols))
 
 
 def random_lu(n: int, seed: int, global_phase: bool = False) -> LocalOperator:
@@ -398,6 +416,54 @@ def _generators(words: np.ndarray) -> Iterator[np.random.Generator]:
     return (np.random.Generator(np.random.PCG64(words_type(w))) for w in words)
 
 
+# numpy's PCG64 (XSL-RR output on a 128-bit LCG). Seeded with words w, its
+# state after the k-th step (k >= 1) is S * M**(k+1) + inc * (M**(k+1) +
+# sum_{j<=k} M**j) mod 2**128, with S = w0 * 2**64 + w1 and
+# inc = 2 * (w2 * 2**64 + w3) + 1, and its k-th double is (output >> 11) * 2**-53.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+
+
+@functools.cache
+def _pcg_steps(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the multipliers of S and inc in the state of
+    steps 1..m: two (2, 1, m) uint64 arrays, row 0 for S, row 1 for inc."""
+    mask = (1 << 128) - 1
+    powers = [pow(_PCG_MULT, j, 1 << 128) for j in range(m + 2)]  # M**j
+    sums = list(itertools.accumulate(powers))  # sums[k] = sum_{j<=k} M**j
+    mult = [powers[2:], [powers[k + 1] + sums[k] & mask for k in range(1, m + 1)]]
+    hi = np.array([[c >> 64 for c in row] for row in mult], dtype=np.uint64)
+    lo = np.array([[c & _MASK64 for c in row] for row in mult], dtype=np.uint64)
+    hi.setflags(write=False)  # shared by every caller
+    lo.setflags(write=False)
+    return hi[:, None], lo[:, None]
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High words of the 128-bit products of uint64 arrays, from 32-bit halves."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _pcg64_uniforms(words: np.ndarray, m: int) -> np.ndarray:
+    """(samples, m) doubles: row r is, bit for bit, the first m of
+    ``Generator(PCG64(seq)).random`` for the seed sequence that hands PCG64
+    ``words[r]``, a row of ``_seed_words``."""
+    hi_c, lo_c = _pcg_steps(m)
+    w = words.T[:, :, None]
+    x_hi = np.stack([w[0], w[2] << 1 | w[3] >> 63])  # S and inc: (2, samples, 1)
+    x_lo = np.stack([w[1], w[3] << 1 | 1])
+    lo = x_lo * lo_c  # both products mod 2**128, then their sum
+    hi = x_hi * lo_c + x_lo * hi_c + _mulhi(x_lo, lo_c)
+    state_lo = lo[0] + lo[1]
+    state_hi = hi[0] + hi[1] + (state_lo < lo[0])
+    x, rot = state_hi ^ state_lo, state_hi >> 58
+    x = x >> rot | x << (64 - rot & 63)
+    return (x >> 11) * 2.0 ** -53
+
+
 def _group(group: str) -> str:
     """``group`` upper-cased; it must name LU or SL."""
     kind = group.upper()
@@ -472,11 +538,11 @@ def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
         if stop > at + len(words):
             at, words = start, _seed_words(
                 seed, start, min(samples, start + max(per_chunk, _SEED_BLOCK)))
-        rngs = _generators(words[start - at:stop - at])
+        block = words[start - at:stop - at]
         if group == LU_KIND:
-            ops = _draw_lu(rngs, n)
+            ops = _lu_from_words(block, n)
         else:
-            ops = _draw_sl(rngs, n, _SL_SPREAD, start)
+            ops = _draw_sl(_generators(block), n, _SL_SPREAD, start)
         _check_ops(ops, group, start)
         images, raw_norm = _images(state.amplitudes, n, ops, group, start)
         for name, values in _inv._evaluate(images, n, rows, start).items():

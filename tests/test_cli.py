@@ -12,6 +12,7 @@ from qinv import (
     new_state,
     random_lu,
 )
+from qinv import cli as _cli
 from qinv.cli import dumps_state, load_state, main, write_state
 from qinv.state import MAX_QUBITS
 
@@ -90,6 +91,27 @@ def test_load_state_bad_pair_is_positional(tmp_path, capsys):
         path.write_text(f'{{"n_qubits": 1, "amplitudes": [[1,0],{bad}]}}')
         assert main(["compute", "-s", str(path)]) == 2
         assert "amplitudes[1]" in capsys.readouterr().err
+
+
+def test_load_state_reads_each_pair_as_complex_does():
+    # Integers beyond int64 and -0.0 included: the one-call conversion must
+    # give each pair the bits complex(re, im) gives it.
+    values = [0, -0.0, 1, 2**53 + 1, 2**63 + 1, 2**64 + 1, -2**70 - 7, 3**200, 0.1, 1e-320]
+    raw = [[a, b] for a in values for b in values]
+    got = _cli._number_pairs(raw).view(np.float64)
+    want = np.array([complex(a, b) for a, b in raw]).view(np.float64)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("item", ["[true, 0]", "[1, 0, 0]", "[1]", "[[1, 0], 0]", "[null, 0]",
+                                  "{\"re\": 1}", '"ab"', "1", "[]"])
+def test_load_state_names_the_first_entry_that_is_not_a_number_pair(tmp_path, item):
+    path = tmp_path / "pair.json"
+    path.write_text(f'{{"n_qubits": 1, "amplitudes": [[1, 0], {item}]}}')
+    with pytest.raises(StateFileError) as info:
+        load_state(str(path))
+    assert str(info.value) == (f"{path}: amplitudes[1]: expected a [re, im] number pair, "
+                               f"got {json.loads(item)!r}")
 
 
 def test_load_state_cap_is_max_qubits(tmp_path, capsys):

@@ -235,8 +235,10 @@ def test_import_leaves_scipy_unloaded():
 
 def test_import_leaves_numpy_random_unloaded():
     # Commands that never sample (compute, compare) do not pay for importing
-    # numpy.random; the campaign's seed-sequence type is made on first use.
-    script = "import sys, qinv; sys.exit('numpy.random' in sys.modules)"
+    # numpy.random; the campaign's seed-sequence type and the PCG64 constants
+    # of its LU draw are made on first use.
+    script = ("import sys, qinv; sys.exit('numpy.random' in sys.modules "
+              "or qinv.orbit._pcg_steps.cache_info().currsize != 0)")
     env = subprocess_env()
     assert subprocess.run([sys.executable, "-c", script], env=env).returncode == 0
 
@@ -487,16 +489,23 @@ def test_one_sample_per_chunk_at_large_n(monkeypatch):
 
 
 def _tamper(draw, bad, sample=4, seed=0):
-    """Wrap a campaign draw so that factor 2 of ``sample`` turns ``bad``; the
-    sample is the one whose generator starts where its sub-seed's does."""
-    target = np.random.default_rng(subseed(seed, sample)).bit_generator.state
+    """Wrap a campaign draw so that factor 2 of ``sample`` turns ``bad``. The
+    LU draw takes rows of seed words, and the sample is the row that equals
+    its sub-seed's; the SL draw takes generators, and the sample is the one
+    whose generator starts where its sub-seed's does."""
+    sub = subseed(seed, sample)
+    words = np.random.SeedSequence(sub).generate_state(4, np.uint64)
+    target = np.random.default_rng(sub).bit_generator.state
 
-    def tampered(rngs, *args):
-        rngs = list(rngs)
-        states = [rng.bit_generator.state for rng in rngs]
-        ops = draw(rngs, *args)
-        if target in states:
-            row = states.index(target)
+    def tampered(source, *args):
+        if isinstance(source, np.ndarray):
+            found = [np.array_equal(w, words) for w in source]
+        else:
+            source = list(source)
+            found = [rng.bit_generator.state == target for rng in source]
+        ops = draw(source, *args)
+        if any(found):
+            row = found.index(True)
             ops[row, 1] = bad(ops[row, 1])
         return ops
     return tampered
@@ -509,7 +518,7 @@ def _tamper(draw, bad, sample=4, seed=0):
     ("SL", lambda m: 2.0 * m, ValueError, "determinant"),
 ])
 def test_bad_factor_in_a_campaign_stack_is_named(monkeypatch, group, bad, error, message):
-    name = "_draw_lu" if group == "LU" else "_draw_sl"
+    name = "_lu_from_words" if group == "LU" else "_draw_sl"
     monkeypatch.setattr(_orbit, name, _tamper(getattr(_orbit, name), bad))
     with pytest.raises(error, match=f"sample 4: operator 2 .*{message}"):
         verify_invariance(random_state(3, 63), "Z", group, 10, 1e-7, 0)
@@ -519,7 +528,7 @@ def test_bad_factor_in_a_campaign_stack_is_named(monkeypatch, group, bad, error,
 def test_bad_factor_is_named_by_its_campaign_sample(monkeypatch, group):
     # Sample 4 sits in the second chunk of 3 samples, and at n = 12 every
     # chunk holds one sample: messages count samples from the campaign start.
-    name = "_draw_lu" if group == "LU" else "_draw_sl"
+    name = "_lu_from_words" if group == "LU" else "_draw_sl"
     draw = getattr(_orbit, name)
     monkeypatch.setattr(_orbit, name, _tamper(draw, lambda m: 2.0 * m))
     monkeypatch.setattr(_orbit, "_CHUNK_AMPLITUDES", 3 * 8)
@@ -779,6 +788,32 @@ def test_sample_generators_equal_default_rng_at_the_oracle_subseed(seed):
             assert np.array_equal(gu.random(8), ru.random(8)), (seed, k)
             assert np.array_equal(gn.standard_normal(8), rn.standard_normal(8)), (seed, k)
             assert np.array_equal(gu.standard_normal(3), ru.standard_normal(3)), (seed, k)
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS, ids=repr)
+def test_array_pcg64_uniforms_equal_default_rng_at_the_oracle_subseed(seed):
+    # m = 72 and 96 are 3n and 4n at n = 24, the widest LU draws.
+    for start in [0, 4095, 10**6, 2**32 - 1]:
+        words = _orbit._seed_words(seed, start, start + 3)
+        for m in [1, 3, 72, 96]:
+            got = _orbit._pcg64_uniforms(words, m)
+            assert got.shape == (3, m) and got.dtype == np.float64
+            for k, row in enumerate(got, start):
+                want = np.random.default_rng(subseed(seed, k)).random(m)
+                assert np.array_equal(row, want), (seed, k, m)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32, 2**64 + 5, 2**200])
+@pytest.mark.parametrize("start", [0, 4095, 2**32 - 2])
+def test_campaign_lu_factors_equal_random_lu(seed, start):
+    words = _orbit._seed_words(seed, start, start + 3)
+    for n in [1, 7, 24]:
+        for phase in [False, True]:
+            stack = _orbit._lu_from_words(words, n, phase)
+            assert stack.shape == (3, n, 2, 2)
+            for k, ops in enumerate(stack, start):
+                want = random_lu(n, subseed(seed, k), global_phase=phase)
+                assert np.array_equal(ops, np.array(want.ops)), (seed, k, n, phase)
 
 
 def test_campaign_sl_draw_with_rejections_equals_random_sl(monkeypatch):

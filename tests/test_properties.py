@@ -78,7 +78,7 @@ def test_state_file_round_trip_is_byte_stable(state):
 def test_seed_blocks_draw_the_operators_of_the_oracle_subseeds(seed, start, count, n,
                                                                phase):
     words = _orbit._seed_words(seed, start, start + count)
-    lu = _orbit._draw_lu(_orbit._generators(words), n, phase)
+    lu = _orbit._lu_from_words(words, n, phase)
     sl = _orbit._draw_sl(_orbit._generators(words), n, _orbit._SL_SPREAD)
     for k, lu_ops, sl_ops in zip(range(start, start + count), lu, sl):
         sub = subseed(seed, k)

@@ -327,3 +327,62 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def _density_stack(side, low, samples=7, rows=3, bad=(3, 1)):
+    """(samples, rows, side, side) density matrices with lowest eigenvalue
+    0.05 / side or more, except ``bad``, whose lowest eigenvalue is ``low``."""
+    rng = np.random.default_rng(side)
+    out = np.empty((samples, rows, side, side), dtype=np.complex128)
+    for idx in np.ndindex(samples, rows):
+        z = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+        q = np.linalg.qr(z)[0]
+        ev = 0.05 / side + 0.95 * rng.dirichlet(np.ones(side))
+        if idx == bad:
+            ev = np.full(side, (1.0 - low) / (side - 1))
+            ev[0] = low
+        out[idx] = (q * ev) @ q.conj().T
+    return out
+
+
+@pytest.fixture
+def psd_calls(monkeypatch):
+    """Counts of the Cholesky certificate and eigvalsh calls."""
+    calls = {"cholesky": 0, "eigvalsh": 0}
+    for name in calls:
+        def spy(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+ROWS = ["I_{1}", "I_{2}", "I_{3}"]
+
+
+@pytest.mark.parametrize("side", [2, 4])
+def test_psd_certificate_passes_a_valid_stack_without_eigvalsh(side, psd_calls):
+    _s._check_density(_density_stack(side, 0.01), 10, ROWS)
+    assert psd_calls == {"cholesky": 1, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("side", [2, 4])
+def test_psd_check_near_the_bound_falls_back_to_eigvalsh(side, psd_calls):
+    # -0.9e-10 is beyond the certificate's -0.5e-10 but within the bound.
+    _s._check_density(_density_stack(side, -0.9e-10), 10, ROWS)
+    assert psd_calls == {"cholesky": 1, "eigvalsh": 1}
+    pattern = (r"^sample 13: I_\{2\}: density matrix has eigenvalue "
+               r".*-1\.\d+e-10.* below -1e-10$")
+    with pytest.raises(ValueError, match=pattern):
+        _s._check_density(_density_stack(side, -1.1e-10), 10, ROWS)
+    assert psd_calls == {"cholesky": 2, "eigvalsh": 2}
+
+
+@pytest.mark.parametrize("side", [2, 4])
+def test_nan_density_matrix_fails_before_the_psd_check(side, psd_calls):
+    stack = _density_stack(side, 0.01)
+    stack[3, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^sample 13: I_\{2\}: density matrix is not "
+                                         r"Hermitian within tolerance$"):
+        _s._check_density(stack, 10, ROWS)
+    assert psd_calls == {"cholesky": 0, "eigvalsh": 0}
