@@ -145,8 +145,8 @@ def concurrence(state: PureState) -> complex:
 
     Quadratic in the amplitudes, so it is evaluated as-is even on states
     carrying a non-unit norm (determinant-one local operators change the norm
-    but not this value). T is applied qubit by qubit with the operator kernel,
-    as ``bilinear`` does; the report's C row (``_concurrence``) takes one
+    but not this value). T is applied with the operator kernel, as
+    ``bilinear`` does; the report's C row (``_concurrence``) takes one
     spin-flip contraction instead, so a campaign's base value and its images'
     values come from two routes.
     """

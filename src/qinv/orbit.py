@@ -19,9 +19,10 @@ replays it; a campaign computes the generator words of up to 4096 samples at
 once by running numpy's SeedSequence on uint32 columns. An LU campaign builds
 no generator: ``_pcg64_uniforms`` computes each sample's PCG64 doubles from
 its words in closed form on uint64 arrays. SL campaigns keep one generator per
-sample, since numpy's ziggurat normals rest on tables it does not expose. Per
-chunk, the group draws, validates and applies one (chunk, n, 2, 2) stack of
-operators, so sample k has one operator whatever the invariant, and
+sample, since numpy's ziggurat normals rest on tables it does not expose. The
+group draws the operators of a seed block in one call; per chunk, it validates
+and applies one (chunk, n, 2, 2) stack of them, so sample k has one operator
+whatever the invariant, and
 ``invariants._evaluate``, the report's evaluator, evaluates every invariant
 with every check of its per-operation route on the (chunk, 2**n) stack of
 images. ``random_lu``, ``random_sl``, ``LocalOperator`` and ``apply_local``
@@ -318,7 +319,7 @@ def _images(amps: np.ndarray, n: int, ops: np.ndarray, kind: str,
 
 
 def apply_local(state: PureState, g: LocalOperator) -> tuple[PureState, float]:
-    """Apply a local operator qubit by qubit.
+    """Apply a local operator, one factor per qubit.
 
     Returns ``(image, raw_norm)``: the image is always normalized and
     ``raw_norm`` is the norm the amplitudes had before rescaling (1 for
@@ -348,7 +349,7 @@ def _powers(init: int, mult: int, count: int) -> np.ndarray:
 
 
 _HASH_A, _HASH_B = _powers(_INIT_A, _MULT_A, 257), _powers(0x8B51F9DD, 0x58F38DED, 9)
-_SEED_BLOCK = 1 << 12  # samples whose seed words a campaign derives at once
+_SEED_BLOCK = 1 << 12  # samples whose operators a campaign draws at once
 
 
 def _hashmix(x: np.ndarray, c: np.ndarray, c_next: np.ndarray) -> np.ndarray:
@@ -500,8 +501,9 @@ def verify_invariance(state: PureState, invariant: str, group: str,
 
 def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
               tol: float, seed: int) -> list[VerificationReport]:
-    """``verify_invariance`` of each of ``names``, from one campaign: per chunk,
-    one stack of operators and one ``_evaluate`` call for every row."""
+    """``verify_invariance`` of each of ``names``, from one campaign: one draw
+    of operators per seed block, and per chunk one validated stack of them
+    and one ``_evaluate`` call for every row."""
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
@@ -532,17 +534,15 @@ def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
     verdict_max = max_rel if group == SL_KIND else max_abs
     worst = dict.fromkeys(names, 0)  # sample of verdict_max
     per_chunk = max(1, _CHUNK_AMPLITUDES >> n)
-    at, words = 0, np.empty((0, 4), dtype=np.uint64)  # seed words of samples at..
+    at, drawn = 0, np.empty((0, n, 2, 2))  # operators of samples at..
     for start in range(0, samples, per_chunk):
         stop = min(samples, start + per_chunk)
-        if stop > at + len(words):
+        if stop > at + len(drawn):
             at, words = start, _seed_words(
                 seed, start, min(samples, start + max(per_chunk, _SEED_BLOCK)))
-        block = words[start - at:stop - at]
-        if group == LU_KIND:
-            ops = _lu_from_words(block, n)
-        else:
-            ops = _draw_sl(_generators(block), n, _SL_SPREAD, start)
+            drawn = (_lu_from_words(words, n) if group == LU_KIND
+                     else _draw_sl(_generators(words), n, _SL_SPREAD, start))
+        ops = drawn[start - at:stop - at]
         _check_ops(ops, group, start)
         images, raw_norm = _images(state.amplitudes, n, ops, group, start)
         for name, values in _inv._evaluate(images, n, rows, start).items():

@@ -109,7 +109,7 @@ def test_one_and_two_point_rows_use_no_kernel_and_no_reduction(monkeypatch):
     # base route: one strided contraction each, neither an operator
     # application nor a reduced density matrix.
     calls = []
-    for module, name in ((_p, "_apply_2x2"), (_s, "_reduced")):
+    for module, name in ((_p, "_apply_2x2"), (_p, "_apply_kron"), (_s, "_reduced")):
         monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
     s = random_state(5, 545)
     for i in range(1, 6):
@@ -220,24 +220,29 @@ def test_batched_second_kind_on_named_states(n, amps, value):
     assert np.all(np.abs(got - value) <= 1e-14)
 
 
-@pytest.mark.parametrize("n", [4, 5, 12])
+@pytest.mark.parametrize("n", [4, 5, 7, 12])
 def test_report_applies_no_operator(monkeypatch, n):
     # The report's C/Z row is one spin-flip contraction; only the public
-    # function applies T qubit by qubit: n calls for C, 3n - 1 for Z (the
-    # identity on the last qubit is skipped).
+    # function applies T with the operator kernel. Below 6 qubits that is one
+    # _apply_2x2 pass per qubit: n for C, 3n - 1 for Z (the identity on the
+    # last qubit is skipped). From 6 on it is one _apply_kron product per
+    # block of at most 4 qubits, ceil(n / 4) per bilinear: C takes one
+    # bilinear, Z three.
     calls = []
-    apply_2x2 = _p._apply_2x2
+    for name in ("_apply_2x2", "_apply_kron"):
+        def counting(*args, name=name, kernel=getattr(_p, name)):
+            calls.append(name)
+            return kernel(*args)
 
-    def counting(*args):
-        calls.append(args[2])
-        return apply_2x2(*args)
-
-    monkeypatch.setattr(_p, "_apply_2x2", counting)
+        monkeypatch.setattr(_p, name, counting)
     s = random_state(n, 560 + n)
     invariant_report(s)
     assert calls == []
     (concurrence if n % 2 == 0 else odd_tangle)(s)
-    assert len(calls) == (n if n % 2 == 0 else 3 * n - 1)
+    if n < 6:
+        assert calls == ["_apply_2x2"] * (n if n % 2 == 0 else 3 * n - 1)
+    else:
+        assert calls == ["_apply_kron"] * (-(-n // 4) * (1 if n % 2 == 0 else 3))
 
 
 # ------------------------------------------------------ triple correlation sum

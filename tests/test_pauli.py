@@ -21,8 +21,15 @@ from qinv import (
     random_lu,
     random_state,
 )
+from qinv import pauli as _p
 
-from oracles import SY, adjoint_defining_residual, dense_bilinear, dense_expectation
+from oracles import (
+    SY,
+    adjoint_defining_residual,
+    dense_bilinear,
+    dense_expectation,
+    kron_chain,
+)
 
 S2 = 1.0 / np.sqrt(2.0)
 
@@ -170,6 +177,58 @@ def test_bilinear_transpose_symmetry():
 def test_bilinear_length_mismatch(bell):
     with pytest.raises(LengthMismatchError):
         bilinear(bell, (SPIN_FLIP,))
+
+
+# ------------------------------------------------------- operator kernel
+
+def _unitaries(rng, *shape):
+    z = rng.standard_normal((*shape, 2, 2)) + 1j * rng.standard_normal((*shape, 2, 2))
+    return np.linalg.qr(z)[0]
+
+
+def _per_qubit(amps, n, ops):
+    for qubit, op in enumerate(ops, start=1):
+        amps = _p._apply_2x2(amps, n, qubit, op)
+    return amps
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+def test_block_kernel_matches_dense_oracle(n):
+    rng = np.random.default_rng(450 + n)
+    psi = random_state(n, 450 + n).amplitudes
+    # One vector: PAULI_I on every qubit of the first block (which is then
+    # skipped) and SPIN_FLIP on the last qubit.
+    ops = [PAULI_I] * (n // 2) + list(_unitaries(rng, n - n // 2 - 1)) + [SPIN_FLIP]
+    got = _p._apply_factors(psi, n, ops)
+    assert np.max(np.abs(got - kron_chain(ops) @ psi)) <= 1e-14
+    # A stack of three vectors, factors per sample, with shared PAULI_I and
+    # SPIN_FLIP factors in between.
+    stack = np.array([random_state(n, 460 + n + k).amplitudes for k in range(3)])
+    ops = list(_unitaries(rng, n, 3))
+    ops[1], ops[n - 2] = PAULI_I, SPIN_FLIP
+    got = _p._apply_factors(stack, n, ops)
+    assert got.shape == stack.shape
+    for k in range(3):
+        want = kron_chain([op if op.ndim == 2 else op[k] for op in ops]) @ stack[k]
+        assert np.max(np.abs(got[k] - want)) <= 1e-14, k
+    # One vector under per-sample factors, as a campaign applies them.
+    got = _p._apply_factors(psi, n, ops)
+    assert got.shape == stack.shape
+    for k in range(3):
+        want = kron_chain([op if op.ndim == 2 else op[k] for op in ops]) @ psi
+        assert np.max(np.abs(got[k] - want)) <= 1e-14, k
+
+
+@pytest.mark.parametrize("n", [12, 13, 16])
+def test_block_kernel_matches_the_per_qubit_passes(n):
+    rng = np.random.default_rng(470 + n)
+    psi = random_state(n, 470 + n).amplitudes
+    ops = list(_unitaries(rng, n))
+    assert np.max(np.abs(_p._apply_factors(psi, n, ops) - _per_qubit(psi, n, ops))) <= 1e-15
+    ops = list(_unitaries(rng, n, 2))
+    got = _p._apply_factors(psi, n, ops)
+    assert got.shape == (2, 1 << n)
+    assert np.max(np.abs(got - _per_qubit(psi, n, ops))) <= 1e-15
 
 
 # --------------------------------------------------------- adjoint_rotation
