@@ -117,20 +117,18 @@ def _kron(ops: Sequence[np.ndarray]) -> np.ndarray:
 def _apply_kron(amps: np.ndarray, n: int, first: int, k: np.ndarray) -> np.ndarray:
     """Apply ``k``, one 2**m x 2**m matrix or a stack whose leading axes
     broadcast against those of ``amps`` (..., 2**n), to qubits first + 1 ..
-    first + m with one matmul: on the left of the (D, R) view for the first
-    qubits, on the right of the (L, D) view for the last ones, and broadcast
-    over L of the (L, D, R) view in between."""
+    first + m with one matmul: on the left of the (L, D, R) view, broadcast
+    over L (one product when L = 1), or, for the last qubits, on the right
+    of the (L, D) view, which is one product where the left side would take
+    L matrix-vector products."""
     d = k.shape[-1]
     left, right = 1 << first, (1 << n) // (d << first)
     lead = amps.shape[:-1]
-    if left == 1:
-        out = k @ amps.reshape(*lead, d, right)
-    elif right == 1:
+    if right == 1:
         out = amps.reshape(*lead, left, d) @ k.swapaxes(-1, -2)
-    else:
-        out = k[..., None, :, :] @ amps.reshape(*lead, left, d, right)
-        out = out.reshape(*out.shape[:-3], left, d * right)
-    return out.reshape(*out.shape[:-2], 1 << n)
+        return out.reshape(*out.shape[:-2], 1 << n)
+    out = k[..., None, :, :] @ amps.reshape(*lead, left, d, right)
+    return out.reshape(*out.shape[:-3], 1 << n)
 
 
 def _apply_factors(amps: np.ndarray, n: int, ops: Sequence[np.ndarray]) -> np.ndarray:
