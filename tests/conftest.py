@@ -22,6 +22,19 @@ def subprocess_env() -> dict[str, str]:
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def count_calls(monkeypatch, targets) -> list[str]:
+    """Record the name of every call of each (module, name) in ``targets``,
+    in call order; each call still runs the wrapped function."""
+    calls = []
+    for module, name in targets:
+        def counting(*args, name=name, f=getattr(module, name)):
+            calls.append(name)
+            return f(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture
 def ghz3():
     return new_state(3, [S2, 0, 0, 0, 0, 0, 0, S2])

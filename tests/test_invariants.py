@@ -35,6 +35,7 @@ from qinv import pauli as _p
 from qinv import state as _s
 from qinv.invariants import invariant_table, report_entry_names
 
+from conftest import count_calls
 from oracles import EYE2, SX, SY, SZ, dense_bilinear, dense_pauli
 
 S2 = 1.0 / np.sqrt(2.0)
@@ -228,13 +229,7 @@ def test_report_applies_no_operator(monkeypatch, n):
     # last qubit is skipped). From 6 on it is one _apply_kron product per
     # block of at most 4 qubits, ceil(n / 4) per bilinear: C takes one
     # bilinear, Z three.
-    calls = []
-    for name in ("_apply_2x2", "_apply_kron"):
-        def counting(*args, name=name, kernel=getattr(_p, name)):
-            calls.append(name)
-            return kernel(*args)
-
-        monkeypatch.setattr(_p, name, counting)
+    calls = count_calls(monkeypatch, [(_p, "_apply_2x2"), (_p, "_apply_kron")])
     s = random_state(n, 560 + n)
     invariant_report(s)
     assert calls == []

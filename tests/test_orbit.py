@@ -29,7 +29,7 @@ from qinv import orbit as _orbit
 from qinv import pauli as _p
 from qinv import state as _s
 
-from conftest import subprocess_env
+from conftest import count_calls, subprocess_env
 from oracles import expm_taylor, subseed
 
 
@@ -578,18 +578,6 @@ def test_shifted_flip_gram_fails_the_c_and_z_campaigns(monkeypatch, n, name, gro
     assert not report.passed and report.deviation > 1e-7
 
 
-def _count_calls(monkeypatch, targets):
-    """Record the name of every call of each (module, name) in ``targets``."""
-    calls = []
-    for module, name in targets:
-        def counting(*args, name=name, f=getattr(module, name)):
-            calls.append(name)
-            return f(*args)
-
-        monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 def test_campaign_kernel_calls_do_not_grow_with_samples(monkeypatch):
     # Deterministic guard on the batching: applying the images costs one
     # _apply_2x2 call per qubit and chunk below 6 qubits, and from 6 on one
@@ -597,7 +585,7 @@ def test_campaign_kernel_calls_do_not_grow_with_samples(monkeypatch):
     # the sample count. The I_{12} base value (a strided contraction) costs
     # none, the C base value (the operator kernel on the state) one product
     # per block. The operators are drawn once per seed block.
-    calls = _count_calls(monkeypatch, [(_p, "_apply_2x2"), (_p, "_apply_kron"),
+    calls = count_calls(monkeypatch, [(_p, "_apply_2x2"), (_p, "_apply_kron"),
                                        (_orbit, "_lu_from_words"), (_orbit, "_draw_sl")])
     s = random_state(3, 65)
     verify_invariance(s, "I_{12}", "LU", 100, 1e-9, 0)
@@ -606,6 +594,9 @@ def test_campaign_kernel_calls_do_not_grow_with_samples(monkeypatch):
     assert calls.count("_lu_from_words") == 1
     assert {"_apply_kron", "_draw_sl"}.isdisjoint(calls)
     calls.clear()
+    # n = 8, SL: seven chunks of at most 16 samples validated from one draw,
+    # and sample k's factors are still random_sl at its sub-seed, bit for bit.
+    stacks = _spy_stacks(monkeypatch)
     s = random_state(8, 65)
     report = verify_invariance(s, "C", "SL", 100, 1e-7, 0)
     chunks, blocks = -(-100 // (_orbit._CHUNK_AMPLITUDES >> 8)), 2  # of 4 qubits
@@ -613,25 +604,15 @@ def test_campaign_kernel_calls_do_not_grow_with_samples(monkeypatch):
     assert calls.count("_apply_kron") == blocks * (chunks + 1)
     assert calls.count("_draw_sl") == 1
     assert {"_apply_2x2", "_lu_from_words"}.isdisjoint(calls)
+    assert [len(st) for st in stacks] == [16] * 6 + [4]
+    for k, ops in enumerate(np.concatenate(stacks)):
+        assert np.array_equal(ops, np.array(random_sl(8, subseed(0, k)).ops)), k
     # Seed blocks of 32 samples: four draws for the same seven chunks.
     monkeypatch.setattr(_orbit, "_SEED_BLOCK", 32)
     calls.clear()
     assert verify_invariance(s, "C", "SL", 100, 1e-7, 0) == report
     assert calls.count("_draw_sl") == 4
     assert calls.count("_apply_kron") == blocks * (chunks + 1)
-
-
-def test_campaign_draws_the_sl_operators_of_a_seed_block_at_once(monkeypatch):
-    # A 100-sample SL campaign at n = 8 validates seven chunks of at most 16
-    # samples from one draw, and sample k's factors are still random_sl at
-    # its sub-seed, bit for bit.
-    calls = _count_calls(monkeypatch, [(_orbit, "_draw_sl")])
-    stacks = _spy_stacks(monkeypatch)
-    assert verify_invariance(random_state(8, 68), "C", "SL", 100, 1e-7, 9).passed
-    assert calls == ["_draw_sl"]
-    assert [len(st) for st in stacks] == [16] * 6 + [4]
-    for k, ops in enumerate(np.concatenate(stacks)):
-        assert np.array_equal(ops, np.array(random_sl(8, subseed(9, k)).ops)), k
 
 
 def test_zero_base_lu_campaign_reports_finite_relative_deviation(zero3):
