@@ -1,9 +1,10 @@
 """Single-qubit operator kernels, Pauli-string expectations and bilinear forms.
 
-Gates are applied with bit-stride kernels, O(2^n) per single-qubit operator,
-and a product of one factor per qubit from 6 qubits on with one matmul per
-block of up to 4 qubits, O(2^(n+4)) per block; no matrix larger than
-16 x 16 is built here (the test suite keeps a dense oracle for
+A product of one factor per qubit takes one matmul per block of up to 4
+qubits, O(2^(n+4)) per block, and a single-qubit gate is a block of one.
+Only per-sample factor stacks below 6 qubits (a campaign's images there)
+take one bit-stride pass per qubit instead, O(2^n) per factor. No matrix
+larger than 16 x 16 is built here (the test suite keeps a dense oracle for
 cross-checking).
 """
 from __future__ import annotations
@@ -79,29 +80,25 @@ def _apply_2x2(amps: np.ndarray, n: int, qubit: int, op: np.ndarray) -> np.ndarr
     """Apply a 2x2 operator to one qubit of bare amplitude vectors.
 
     ``amps`` has shape (..., 2**n); ``op`` is one (2, 2) matrix or a stack
-    (..., 2, 2) whose leading axes broadcast against those of ``amps``.
-    One operator on one vector (either may be a stack of one) goes through
-    einsum. Stacks sum two broadcast products instead, 2-3x faster than
-    einsum, which has no BLAS path for stacked operands; their temporary is
-    as large as the output, which campaign chunking keeps small.
+    (..., 2, 2) whose leading axes broadcast against those of ``amps``: the
+    sum of two broadcast products, whose temporary is as large as the
+    output, which campaign chunking keeps small. ``_apply_factors`` uses it
+    only for per-sample factor stacks below ``_KRON_FROM`` qubits.
     """
     left = 1 << (qubit - 1)
     right = 1 << (n - qubit)
     psi = amps.reshape(*amps.shape[:-1], left, 2, right)
-    if op.size == 4 and amps.size == 1 << n:
-        out = np.einsum("...ab,...lbr->...lar", op, psi)
-    else:
-        col = op[..., None, :, :, None]
-        out = col[..., 0, :] * psi[..., 0:1, :]
-        out += col[..., 1, :] * psi[..., 1:2, :]
+    col = op[..., None, :, :, None]
+    out = col[..., 0, :] * psi[..., 0:1, :]
+    out += col[..., 1, :] * psi[..., 1:2, :]
     return out.reshape(*out.shape[:-3], -1)
 
 
-# From _KRON_FROM qubits on, _apply_factors applies blocks of at most
-# _KRON_QUBITS factors as one Kronecker product each. Below, one pass per
-# qubit is faster on a campaign's per-sample factors, where an m-qubit block
-# costs 4^m products per sample against 2m * 2^m (a 4-qubit SL campaign
-# takes about 15 % longer as one block).
+# _apply_factors applies blocks of at most _KRON_QUBITS shared factors as one
+# Kronecker product each at every n (1.1-3x faster than per-qubit passes at
+# n = 2-5). Per-sample stacks below _KRON_FROM qubits take per-qubit passes:
+# blocks took 2.6-3.3x as long there, with 4^m products per sample against
+# 2m * 2^m and one small matmul per sample and row.
 _KRON_FROM = 6
 _KRON_QUBITS = 4
 
@@ -137,14 +134,15 @@ def _apply_factors(amps: np.ndarray, n: int, ops: Sequence[np.ndarray]) -> np.nd
     """Apply one already-validated factor per qubit.
 
     ``ops[q - 1]`` acts on qubit q: a (2, 2) matrix, or a stack with one
-    matrix per vector of ``amps`` (see ``_apply_2x2``). Below 6 qubits each
-    factor other than ``PAULI_I`` takes one ``_apply_2x2`` pass. From 6 on,
-    the qubits split into ceil(n / 4) consecutive blocks of at most 4, as
-    even as possible, and each block with a factor other than ``PAULI_I``
-    takes one ``_apply_kron`` of the Kronecker product of its factors: about
-    n / 4 BLAS products instead of n strided passes.
+    matrix per vector of ``amps`` (see ``_apply_2x2``). The qubits split
+    into ceil(n / 4) consecutive blocks of at most 4, as even as possible,
+    and each block with a factor other than ``PAULI_I`` takes one
+    ``_apply_kron`` of the Kronecker product of its factors: about n / 4
+    BLAS products instead of n strided passes. Only when some factor is a
+    per-sample stack and n < 6 does each factor other than ``PAULI_I`` take
+    one ``_apply_2x2`` pass instead.
     """
-    if n < _KRON_FROM:
+    if n < _KRON_FROM and any(op.ndim > 2 for op in ops):
         for qubit, op in enumerate(ops, start=1):
             if op is not PAULI_I:
                 amps = _apply_2x2(amps, n, qubit, op)
@@ -211,7 +209,7 @@ def apply_single_qubit(state: PureState, qubit: int, op: np.ndarray) -> PureStat
         raise IndexOutOfRangeError(
             f"qubit {qubit} out of range 1..{state.n_qubits}"
         )
-    out = _apply_2x2(state.amplitudes, state.n_qubits, qubit, _as_2x2(op))
+    out = _apply_kron(state.amplitudes, state.n_qubits, qubit - 1, _as_2x2(op))
     return _wrap(state.n_qubits, out)
 
 

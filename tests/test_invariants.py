@@ -224,20 +224,15 @@ def test_batched_second_kind_on_named_states(n, amps, value):
 @pytest.mark.parametrize("n", [4, 5, 7, 12])
 def test_report_applies_no_operator(monkeypatch, n):
     # The report's C/Z row is one spin-flip contraction; only the public
-    # function applies T with the operator kernel. Below 6 qubits that is one
-    # _apply_2x2 pass per qubit: n for C, 3n - 1 for Z (the identity on the
-    # last qubit is skipped). From 6 on it is one _apply_kron product per
-    # block of at most 4 qubits, ceil(n / 4) per bilinear: C takes one
-    # bilinear, Z three.
+    # function applies T with the operator kernel. Its factors are shared, so
+    # at every n that is one _apply_kron product per block of at most 4
+    # qubits, ceil(n / 4) per bilinear: C takes one bilinear, Z three.
     calls = count_calls(monkeypatch, [(_p, "_apply_2x2"), (_p, "_apply_kron")])
     s = random_state(n, 560 + n)
     invariant_report(s)
     assert calls == []
     (concurrence if n % 2 == 0 else odd_tangle)(s)
-    if n < 6:
-        assert calls == ["_apply_2x2"] * (n if n % 2 == 0 else 3 * n - 1)
-    else:
-        assert calls == ["_apply_kron"] * (-(-n // 4) * (1 if n % 2 == 0 else 3))
+    assert calls == ["_apply_kron"] * (-(-n // 4) * (1 if n % 2 == 0 else 3))
 
 
 # ------------------------------------------------------ triple correlation sum

@@ -579,12 +579,13 @@ def test_shifted_flip_gram_fails_the_c_and_z_campaigns(monkeypatch, n, name, gro
 
 
 def test_campaign_kernel_calls_do_not_grow_with_samples(monkeypatch):
-    # Deterministic guard on the batching: applying the images costs one
-    # _apply_2x2 call per qubit and chunk below 6 qubits, and from 6 on one
-    # _apply_kron product per block of at most 4 qubits and chunk, whatever
-    # the sample count. The I_{12} base value (a strided contraction) costs
-    # none, the C base value (the operator kernel on the state) one product
-    # per block. The operators are drawn once per seed block.
+    # Deterministic guard on the batching: applying the images (per-sample
+    # factor stacks) costs one _apply_2x2 call per qubit and chunk below 6
+    # qubits, and from 6 on one _apply_kron product per block of at most 4
+    # qubits and chunk, whatever the sample count. The I_{12} base value (a
+    # strided contraction) costs none, the C base value (the operator kernel
+    # on the state, shared factors) one product per block. The operators are
+    # drawn once per seed block.
     calls = count_calls(monkeypatch, [(_p, "_apply_2x2"), (_p, "_apply_kron"),
                                        (_orbit, "_lu_from_words"), (_orbit, "_draw_sl")])
     s = random_state(3, 65)

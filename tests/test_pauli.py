@@ -23,6 +23,7 @@ from qinv import (
 )
 from qinv import pauli as _p
 
+from conftest import count_calls
 from oracles import (
     SY,
     adjoint_defining_residual,
@@ -229,6 +230,48 @@ def test_block_kernel_matches_the_per_qubit_passes(n):
     got = _p._apply_factors(psi, n, ops)
     assert got.shape == (2, 1 << n)
     assert np.max(np.abs(got - _per_qubit(psi, n, ops))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_factor_shape_picks_the_kernel_below_six_qubits(monkeypatch, n):
+    # Shared 2x2 factors take one _apply_kron product per block with a factor
+    # other than PAULI_I, on one vector and on a stack; only per-sample
+    # factor stacks take one _apply_2x2 pass per such factor.
+    rng = np.random.default_rng(480 + n)
+    calls = count_calls(monkeypatch, [(_p, "_apply_2x2"), (_p, "_apply_kron")])
+    psi = random_state(n, 480 + n).amplitudes
+    stack = np.array([random_state(n, 490 + n + k).amplitudes for k in range(3)])
+    ops = list(_unitaries(rng, n))
+    ops[n // 2] = PAULI_I  # n = 1: the identity alone, which takes no product
+    want = kron_chain(ops)
+    assert np.max(np.abs(_p._apply_factors(psi, n, ops) - want @ psi)) <= 1e-14
+    got = _p._apply_factors(stack, n, ops)
+    assert got.shape == stack.shape
+    assert np.max(np.abs(got - stack @ want.T)) <= 1e-14
+    assert calls == ["_apply_kron"] * (2 * -(-n // 4) if n > 1 else 0)
+    calls.clear()
+    ops = list(_unitaries(rng, n, 3))
+    ops[n // 2] = PAULI_I
+    got = _p._apply_factors(stack, n, ops)
+    for k in range(3):
+        want = kron_chain([op if op.ndim == 2 else op[k] for op in ops]) @ stack[k]
+        assert np.max(np.abs(got[k] - want)) <= 1e-14, k
+    assert calls == ["_apply_2x2"] * (n - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_apply_single_qubit_matches_dense_oracle(monkeypatch, n):
+    # A single-qubit gate is a block of one qubit: one _apply_kron product.
+    rng = np.random.default_rng(500 + n)
+    calls = count_calls(monkeypatch, [(_p, "_apply_2x2"), (_p, "_apply_kron")])
+    s = random_state(n, 500 + n)
+    for qubit in range(1, n + 1):
+        op = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        ops = [np.eye(2)] * n
+        ops[qubit - 1] = op
+        got = apply_single_qubit(s, qubit, op).amplitudes
+        assert np.max(np.abs(got - kron_chain(ops) @ s.amplitudes)) <= 1e-14, qubit
+    assert calls == ["_apply_kron"] * n
 
 
 # --------------------------------------------------------- adjoint_rotation
