@@ -282,12 +282,11 @@ def cmd_random(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    text = dumps_state(state)
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps_state(state))
         return 0
     try:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_state(state, args.out)
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return 5

@@ -53,6 +53,11 @@ def _check_normalized(state: PureState) -> None:
         raise UnnormalizedError("this invariant requires a normalized state")
 
 
+def _check_three(state: PureState, what: str) -> None:
+    if state.n_qubits != 3:
+        raise WrongQubitCountError(f"{what} is defined for 3 qubits, got {state.n_qubits}")
+
+
 def _check_qubit(state: PureState, i: int) -> None:
     if not 1 <= i <= state.n_qubits:
         raise IndexOutOfRangeError(f"qubit {i} out of range 1..{state.n_qubits}")
@@ -214,10 +219,7 @@ def cubic_invariant(state: PureState, method: str = "density") -> float:
     ``method`` selects which value is returned. Both come from ``_cubic``,
     the evaluator of the report's I_5 row.
     """
-    if state.n_qubits != 3:
-        raise WrongQubitCountError(
-            f"cubic invariant is defined for 3 qubits, got {state.n_qubits}"
-        )
+    _check_three(state, "cubic invariant")
     if method not in ("density", "pauli"):
         raise ValueError(f"method must be 'density' or 'pauli', got {method!r}")
     _check_normalized(state)
@@ -225,7 +227,8 @@ def cubic_invariant(state: PureState, method: str = "density") -> float:
     return float(via_density if method == "density" else via_pauli)
 
 
-_PAIR_TANGLE_SLOT = {"AB": 3, "AC": 2, "BC": 1}
+# Qubit order per pair that puts the pair's free qubit last.
+_PAIR_ORDER = {"AB": (0, 1, 2), "AC": (0, 2, 1), "BC": (1, 2, 0)}
 
 
 def pair_tangle(state: PureState, pair: str = "AB") -> complex:
@@ -235,28 +238,17 @@ def pair_tangle(state: PureState, pair: str = "AB") -> complex:
     qubit carries sigma_x / sigma_z / identity across the three squared
     bilinears; AC and BC move the free slot to qubit 2 resp. qubit 1. Since
     sigma_y (x) sigma_y = -(T (x) T) and every bilinear is squared, the AB
-    value coincides exactly with ``odd_tangle`` on three qubits. All bilinears
-    use the <psi|M|psi*> convention (the conjugate of the <psi*|M|psi> form).
+    value is exactly ``odd_tangle`` on three qubits, so each pair is
+    ``_odd_tangle`` of the amplitudes with the free qubit moved last. All
+    bilinears use the <psi|M|psi*> convention (the conjugate of the
+    <psi*|M|psi> form).
     """
-    if state.n_qubits != 3:
-        raise WrongQubitCountError(
-            f"pair tangle is defined for 3 qubits, got {state.n_qubits}"
-        )
-    if pair not in _PAIR_TANGLE_SLOT:
+    _check_three(state, "pair tangle")
+    if pair not in _PAIR_ORDER:
         raise ValueError(f"pair must be one of AB, AC, BC, got {pair!r}")
     _check_normalized(state)
-    return complex(_pair_tangle(state.amplitudes, _PAIR_TANGLE_SLOT[pair]))
-
-
-def _pair_tangle(amps: np.ndarray, slot: int) -> np.ndarray:
-    """``pair_tangle`` per vector of ``amps`` (..., 8), with the free slot on
-    qubit ``slot``."""
-    total = 0.0 + 0.0j
-    for slot_op, sign in ((PAULI_X, 1.0), (PAULI_Z, 1.0), (PAULI_I, -1.0)):
-        ops = [_p.PAULI_Y] * 3
-        ops[slot - 1] = slot_op
-        total = total + sign * _p._bilinears(amps, 3, ops) ** 2
-    return total
+    psi = state.amplitudes.reshape(2, 2, 2).transpose(_PAIR_ORDER[pair])
+    return complex(_odd_tangle(psi.ravel(), 3))
 
 
 def three_tangle(state: PureState) -> float:
@@ -266,10 +258,7 @@ def three_tangle(state: PureState) -> float:
     d1 sums the four squared products over complementary index pairs, d2 the
     six cross products of those pairs, and d3 the two cyclic quartic terms.
     """
-    if state.n_qubits != 3:
-        raise WrongQubitCountError(
-            f"three-tangle is defined for 3 qubits, got {state.n_qubits}"
-        )
+    _check_three(state, "three-tangle")
     _check_normalized(state)
     return float(_tangle(state.amplitudes))
 
@@ -398,21 +387,26 @@ def _cubic(amps: np.ndarray, n: int, first: int | None) -> tuple[np.ndarray, np.
 
 
 def _checked_tangle(amps: np.ndarray, first: int | None) -> np.ndarray:
-    """``three_tangle``, checked against |pair_tangle(AB)| to 1e-9."""
+    """``three_tangle``, checked against |pair_tangle(AB)| = |odd_tangle| to 1e-9."""
     poly = _tangle(amps)
-    bilinear = np.abs(_pair_tangle(amps, _PAIR_TANGLE_SLOT["AB"]))
+    bilinear = np.abs(_odd_tangle(amps, 3))
     _agree("I_6", first, TANGLE_TOL, polynomial=poly, bilinear=bilinear)
     return poly
 
 
 class Invariant(NamedTuple):
-    """One row of ``invariant_table``: what an invariant is and how to compute it."""
+    """One row of ``invariant_table``: what an invariant is and how to compute it.
+
+    A row has either ``batched`` or ``kept``: ``_evaluate`` reads every I_{i}
+    and I_{ij} row of a stack off one ``_first_kind`` call over their keep-sets.
+    """
 
     kind: str  # "real": first kind, LU-invariant; "complex": second kind, SLOCC
     degree: int  # polynomial degree in the amplitudes
     reference: Callable[[PureState], float | complex]  # per-operation route
-    # (amplitudes (..., 2**n), first sample or None) -> float or complex values by kind
-    batched: Callable[[np.ndarray, int | None], np.ndarray]
+    # (amplitudes (..., 2**n), first sample or None) -> float or complex values by
+    # kind; None for I_{i} and I_{ij} rows, which ``_evaluate`` reads off ``kept``
+    batched: Callable[[np.ndarray, int | None], np.ndarray] | None
     kept: tuple[int, ...] = ()  # the qubits an I_{i} or I_{ij} row keeps
     # Report tolerances of the dual-route checks ``batched`` runs.
     tolerances: tuple[tuple[str, float], ...] = ()
@@ -427,8 +421,10 @@ def invariant_table(n: int) -> dict[str, Invariant]:
     The three-qubit suite I_1..I_6 (n = 3 only), then I_{i} per qubit, I_{ij}
     per pair, and C (even n) or Z (odd n). These names are the entries of
     ``invariant_report`` and the selectors ``verify_invariance`` accepts.
-    References call their function through this module's globals at call
-    time, so a wrapper installed on the module sees the call.
+    Every second-kind value of a stack, C or Z and I_6's bilinear cross-check,
+    comes from the spin-flip contraction ``pauli._flip_gram``; no row applies
+    an operator. References call their function through this module's
+    globals at call time, so a wrapper installed on the module sees the call.
     """
     table: dict[str, Invariant] = {}
     if n == 3:
@@ -447,13 +443,11 @@ def invariant_table(n: int) -> dict[str, Invariant]:
                                  tolerances=(("tangle_agreement", TANGLE_TOL),))
     for i in range(1, n + 1):
         table[single_name(i)] = Invariant(
-            "real", 4, lambda s, i=i: single_qubit_invariant(s, i),
-            lambda a, first, k=(i,): _first_kind(a, n, [k], first)[..., 0], (i,))
+            "real", 4, lambda s, i=i: single_qubit_invariant(s, i), None, (i,))
     for i in range(1, n):
         for j in range(i + 1, n + 1):
             table[pair_name(i, j, n)] = Invariant(
-                "real", 4, lambda s, i=i, j=j: pair_invariant(s, i, j),
-                lambda a, first, k=(i, j): _first_kind(a, n, [k], first)[..., 0], (i, j))
+                "real", 4, lambda s, i=i, j=j: pair_invariant(s, i, j), None, (i, j))
     if n % 2 == 0:
         table["C"] = Invariant("complex", 2, lambda s: concurrence(s),
                                lambda a, first: _concurrence(a, n))
@@ -500,27 +494,24 @@ def three_qubit_suite(state: PureState) -> InvariantReport:
     against its Pauli-expectation form to 1e-10); I_5 = cubic invariant;
     I_6 = three-tangle, checked against |pair_tangle(AB)| to 1e-9.
     """
-    if state.n_qubits != 3:
-        raise WrongQubitCountError(
-            f"the suite is defined for 3 qubits, got {state.n_qubits}"
-        )
+    _check_three(state, "the suite")
     # The suite is the real rows of the n = 3 table that keep no qubit set.
     rows = {name: row for name, row in invariant_table(3).items()
             if row.kind == "real" and not row.kept}
     return _report(state, rows, {})
 
 
-def _report(state: PureState, rows: dict[str, Invariant], tolerances: dict[str, float],
-            **metadata: object) -> InvariantReport:
+def _report(state: PureState, rows: dict[str, Invariant],
+            tolerances: dict[str, float]) -> InvariantReport:
     """Report of table ``rows`` on ``state`` from one ``_evaluate`` call, with
-    ``tolerances`` then the rows' own, and the state's digest then ``metadata``."""
+    ``tolerances`` then the rows' own, and the state's digest as metadata."""
     _check_normalized(state)
     values = _evaluate(state.amplitudes, state.n_qubits, rows, None)
     return InvariantReport(
         state.n_qubits,
         {name: ReportEntry(values[name].item(), row.kind) for name, row in rows.items()},
         {**tolerances, **dict(tol for row in rows.values() for tol in row.tolerances)},
-        {"state_digest": state.digest(), **metadata},
+        {"state_digest": state.digest()},
     )
 
 
@@ -549,7 +540,7 @@ def first_kind_fingerprint(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     return corr[1], pairs
 
 
-def invariant_report(state: PureState, seed: int | None = None) -> InvariantReport:
+def invariant_report(state: PureState) -> InvariantReport:
     """Every invariant this package computes for the given state.
 
     One entry per row of ``invariant_table``, in its order, evaluated by
@@ -557,5 +548,4 @@ def invariant_report(state: PureState, seed: int | None = None) -> InvariantRepo
     runs on its stack of images.
     """
     return _report(state, invariant_table(state.n_qubits),
-                   {"hermitian_residue": _p.HERMITIAN_RESIDUE_TOL},
-                   **({} if seed is None else {"seed": seed}))
+                   {"hermitian_residue": _p.HERMITIAN_RESIDUE_TOL})

@@ -232,11 +232,11 @@ def _draw_lu(rngs: Iterable[np.random.Generator], n: int,
     return _euler_factors(np.array([rng.random((n, cols)) for rng in rngs]))
 
 
-def _lu_from_words(words: np.ndarray, n: int, global_phase: bool = False) -> np.ndarray:
-    """``_draw_lu`` of the generators that rows of ``_seed_words`` seed, bit
-    for bit, drawn by ``_pcg64_uniforms`` without building a generator."""
-    cols = 4 if global_phase else 3
-    return _euler_factors(_pcg64_uniforms(words, n * cols).reshape(-1, n, cols))
+def _lu_from_words(words: np.ndarray, n: int) -> np.ndarray:
+    """``_draw_lu`` (without phases) of the generators that rows of
+    ``_seed_words`` seed, bit for bit, drawn by ``_pcg64_uniforms`` without
+    building a generator."""
+    return _euler_factors(_pcg64_uniforms(words, n * 3).reshape(-1, n, 3))
 
 
 def random_lu(n: int, seed: int, global_phase: bool = False) -> LocalOperator:

@@ -221,18 +221,20 @@ def test_batched_second_kind_on_named_states(n, amps, value):
     assert np.all(np.abs(got - value) <= 1e-14)
 
 
-@pytest.mark.parametrize("n", [4, 5, 7, 12])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 12])
 def test_report_applies_no_operator(monkeypatch, n):
-    # The report's C/Z row is one spin-flip contraction; only the public
-    # function applies T with the operator kernel. Its factors are shared, so
-    # at every n that is one _apply_kron product per block of at most 4
-    # qubits, ceil(n / 4) per bilinear: C takes one bilinear, Z three.
+    # The report's C/Z row, and at n = 3 I_6's bilinear cross-check, is one
+    # spin-flip contraction; only the public function applies T with the
+    # operator kernel. Its factors are shared, so at every n that is one
+    # _apply_kron product per block of at most 4 qubits, ceil(n / 4) per
+    # bilinear: C takes one bilinear, Z three. At n = 1 Z's identity
+    # bilinear is a block of PAULI_I alone, which takes no product.
     calls = count_calls(monkeypatch, [(_p, "_apply_2x2"), (_p, "_apply_kron")])
     s = random_state(n, 560 + n)
     invariant_report(s)
     assert calls == []
     (concurrence if n % 2 == 0 else odd_tangle)(s)
-    assert calls == ["_apply_kron"] * (-(-n // 4) * (1 if n % 2 == 0 else 3))
+    assert calls == ["_apply_kron"] * (-(-n // 4) * (1 if n % 2 == 0 else 3) - (n == 1))
 
 
 # ------------------------------------------------------ triple correlation sum
@@ -310,6 +312,19 @@ def test_three_tangle_wrong_count(bell):
         three_tangle(bell)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("f, what", [
+    (cubic_invariant, "cubic invariant"),
+    (pair_tangle, "pair tangle"),
+    (three_tangle, "three-tangle"),
+    (three_qubit_suite, "the suite"),
+])
+def test_three_qubit_functions_name_themselves_on_other_counts(f, what, n):
+    with pytest.raises(WrongQubitCountError,
+                       match=f"^{what} is defined for 3 qubits, got {n}$"):
+        f(random_state(n, 870 + n))
+
+
 # -------------------------------------------------------------------- suite
 
 def test_suite_ghz(ghz3):
@@ -384,11 +399,6 @@ def test_report_names_and_order():
 
     report2 = invariant_report(random_state(2, 2))
     assert list(report2.entries) == ["I_{1}", "I_{2}", "I_{12}", "C"]
-
-
-def test_report_seed_metadata():
-    report = invariant_report(random_state(2, 9), seed=9)
-    assert report.metadata["seed"] == 9
 
 
 # --------------------------------------------------- invariance (smoke scale)

@@ -449,7 +449,7 @@ def test_batched_values_match_per_operation_evaluators(n, group):
         else:
             ops = _orbit._draw_sl(rngs, n, _orbit._SL_SPREAD)
         images, _ = _orbit._images(state.amplitudes, n, ops, group)
-        got = sel.batched(images, 0)
+        got = _inv._evaluate(images, n, {name: sel}, 0)[name]
         assert got.shape == (len(seeds),)
         for img, value in zip(images, got):
             image = qinv.PureState(n, img, is_normalized=group == "LU")
@@ -682,15 +682,15 @@ def test_selectors_are_exactly_the_table_names(n, name):
 
 
 def test_batched_i6_runs_the_tangle_cross_check(monkeypatch):
-    # Shift the bilinear route of stacked images only: the campaign's I_6
+    # Shift the spin-flip route of stacked images only: the campaign's I_6
     # evaluator must notice, and name the sample.
-    pair_tangle = _inv._pair_tangle
+    odd_tangle = _inv._odd_tangle
 
-    def shifted(amps, slot):
-        out = pair_tangle(amps, slot)
+    def shifted(amps, n):
+        out = odd_tangle(amps, n)
         return out + 1e-6 if amps.ndim > 1 else out
 
-    monkeypatch.setattr(_inv, "_pair_tangle", shifted)
+    monkeypatch.setattr(_inv, "_odd_tangle", shifted)
     with pytest.raises(InternalDisagreementError, match="^sample 0: I_6 routes disagree"):
         verify_invariance(random_state(3, 69), "I_6", "LU", 10, 1e-9, 0)
 
@@ -828,12 +828,11 @@ def test_array_pcg64_uniforms_equal_default_rng_at_the_oracle_subseed(seed):
 def test_campaign_lu_factors_equal_random_lu(seed, start):
     words = _orbit._seed_words(seed, start, start + 3)
     for n in [1, 7, 24]:
-        for phase in [False, True]:
-            stack = _orbit._lu_from_words(words, n, phase)
-            assert stack.shape == (3, n, 2, 2)
-            for k, ops in enumerate(stack, start):
-                want = random_lu(n, subseed(seed, k), global_phase=phase)
-                assert np.array_equal(ops, np.array(want.ops)), (seed, k, n, phase)
+        stack = _orbit._lu_from_words(words, n)
+        assert stack.shape == (3, n, 2, 2)
+        for k, ops in enumerate(stack, start):
+            want = random_lu(n, subseed(seed, k))
+            assert np.array_equal(ops, np.array(want.ops)), (seed, k, n)
 
 
 def test_campaign_sl_draw_with_rejections_equals_random_sl(monkeypatch):

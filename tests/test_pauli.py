@@ -261,9 +261,19 @@ def test_factor_shape_picks_the_kernel_below_six_qubits(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_apply_single_qubit_matches_dense_oracle(monkeypatch, n):
-    # A single-qubit gate is a block of one qubit: one _apply_kron product.
+    # A single-qubit gate takes one _apply_kron product: a block of one qubit,
+    # or on qubit q > n - 4 the block op (x) I of qubits q..n, whose product
+    # runs on the right side in one matmul.
     rng = np.random.default_rng(500 + n)
-    calls = count_calls(monkeypatch, [(_p, "_apply_2x2"), (_p, "_apply_kron")])
+    widths = []
+    kron = _p._apply_kron
+
+    def spy(amps, n, first, k):
+        widths.append(k.shape[-1])
+        return kron(amps, n, first, k)
+
+    calls = count_calls(monkeypatch, [(_p, "_apply_2x2")])
+    monkeypatch.setattr(_p, "_apply_kron", spy)
     s = random_state(n, 500 + n)
     for qubit in range(1, n + 1):
         op = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -271,7 +281,8 @@ def test_apply_single_qubit_matches_dense_oracle(monkeypatch, n):
         ops[qubit - 1] = op
         got = apply_single_qubit(s, qubit, op).amplitudes
         assert np.max(np.abs(got - kron_chain(ops) @ s.amplitudes)) <= 1e-14, qubit
-    assert calls == ["_apply_kron"] * n
+    assert calls == []
+    assert widths == [2 << (n - q) if q > n - 4 else 2 for q in range(1, n + 1)]
 
 
 # --------------------------------------------------------- adjoint_rotation
