@@ -98,7 +98,8 @@ def _apply_2x2(amps: np.ndarray, n: int, qubit: int, op: np.ndarray) -> np.ndarr
 # Kronecker product each at every n (1.1-3x faster than per-qubit passes at
 # n = 2-5). Per-sample stacks below _KRON_FROM qubits take per-qubit passes:
 # blocks took 2.6-3.3x as long there, with 4^m products per sample against
-# 2m * 2^m and one small matmul per sample and row.
+# 2m * 2^m and one small matmul per sample and row. apply_single_qubit widens
+# a gate only from qubit _KRON_FROM on, where it saves 32 or more products.
 _KRON_FROM = 6
 _KRON_QUBITS = 4
 
@@ -206,17 +207,17 @@ def _wrap(n: int, amps: np.ndarray) -> PureState:
 def apply_single_qubit(state: PureState, qubit: int, op: np.ndarray) -> PureState:
     """Act with a 2x2 operator on one qubit; norm is preserved iff op is unitary.
 
-    On qubits n - 3 .. n - 1 the gate is widened to op (x) I, a block that
-    ends at qubit n, so ``_apply_kron`` takes its one right-side product
-    instead of 2**(qubit - 1) products with a right side of 2**(n - qubit)
-    columns. op (x) I is built by broadcasting, which took 5-7 us against
-    24 us for ``np.kron`` on a 2-vCPU Xeon VM.
+    On qubits n - 3 .. n - 1 from ``_KRON_FROM`` on, op (x) I (a block that
+    ends at qubit n, built by broadcasting: 5-7 us, ``np.kron`` 24 us) takes
+    ``_apply_kron``'s one right-side product instead of 2**(qubit - 1) tiny
+    ones. Below qubit 6 building it cost more than it saved: 1.1-1.3x slower
+    at n = 3-7 (2-vCPU Xeon VM).
     """
     n = state.n_qubits
     if not 1 <= qubit <= n:
         raise IndexOutOfRangeError(f"qubit {qubit} out of range 1..{n}")
     op = _as_2x2(op)
-    if n - _KRON_QUBITS < qubit < n:
+    if qubit >= _KRON_FROM and n - _KRON_QUBITS < qubit < n:
         right = 1 << (n - qubit)
         op = (op[:, None, :, None] * np.eye(right)[:, None, :]).reshape(2 * right, -1)
     return _wrap(n, _apply_kron(state.amplitudes, n, qubit - 1, op))

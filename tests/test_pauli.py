@@ -259,11 +259,12 @@ def test_factor_shape_picks_the_kernel_below_six_qubits(monkeypatch, n):
     assert calls == ["_apply_2x2"] * (n - 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_apply_single_qubit_matches_dense_oracle(monkeypatch, n):
     # A single-qubit gate takes one _apply_kron product: a block of one qubit,
-    # or on qubit q > n - 4 the block op (x) I of qubits q..n, whose product
-    # runs on the right side in one matmul.
+    # or on qubit q > n - 4 from q = 6 on the block op (x) I of qubits q..n,
+    # whose product runs on the right side in one matmul. Below q = 6
+    # (n = 3's qubit 2 included) the gate stays a block of one.
     rng = np.random.default_rng(500 + n)
     widths = []
     kron = _p._apply_kron
@@ -282,7 +283,7 @@ def test_apply_single_qubit_matches_dense_oracle(monkeypatch, n):
         got = apply_single_qubit(s, qubit, op).amplitudes
         assert np.max(np.abs(got - kron_chain(ops) @ s.amplitudes)) <= 1e-14, qubit
     assert calls == []
-    assert widths == [2 << (n - q) if q > n - 4 else 2 for q in range(1, n + 1)]
+    assert widths == [2 << (n - q) if q >= 6 and q > n - 4 else 2 for q in range(1, n + 1)]
 
 
 # --------------------------------------------------------- adjoint_rotation
