@@ -77,7 +77,7 @@ def _number_pairs(raw: list) -> np.ndarray | None:
 def load_state(path: str, normalize: bool = False) -> PureState:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StateFileError(f"{path}: cannot read: {exc}") from exc
     try:
         data = json.loads(text)

@@ -5,8 +5,9 @@ three-tangle polynomial.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,9 +59,11 @@ def _check_three(state: PureState, what: str) -> None:
         raise WrongQubitCountError(f"{what} is defined for 3 qubits, got {state.n_qubits}")
 
 
-def _check_qubit(state: PureState, i: int) -> None:
+def _check_qubit(state: PureState, i: int) -> int:
+    i = _s._index(i, IndexOutOfRangeError)
     if not 1 <= i <= state.n_qubits:
         raise IndexOutOfRangeError(f"qubit {i} out of range 1..{state.n_qubits}")
+    return i
 
 
 def _one_point(amps: np.ndarray, n: int, i: int) -> np.ndarray:
@@ -93,7 +96,7 @@ def _two_point(amps: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
 def single_qubit_invariant(state: PureState, i: int) -> float:
     """1 - <X_i>^2 - <Y_i>^2 - <Z_i>^2 (equals 4 det of the one-qubit reduction)."""
     _check_normalized(state)
-    _check_qubit(state, i)
+    i = _check_qubit(state, i)
     return float(1.0 - np.sum(_one_point(state.amplitudes, state.n_qubits, i) ** 2))
 
 
@@ -104,7 +107,7 @@ def single_qubit_invariant_dm(state: PureState, i: int) -> float:
     and insists all three agree to 1e-10 before returning the first.
     """
     _check_normalized(state)
-    _check_qubit(state, i)
+    i = _check_qubit(state, i)
     rho = partial_trace(state, {i})
     via_purity = 2.0 * (1.0 - purity(rho))
     via_det = 4.0 * float(np.linalg.det(rho.matrix).real)
@@ -127,8 +130,8 @@ def pair_invariant(state: PureState, i: int, j: int) -> float:
     numbers off rho_ij instead, and ``verify`` compares the two routes.
     """
     _check_normalized(state)
-    _check_qubit(state, i)
-    _check_qubit(state, j)
+    i = _check_qubit(state, i)
+    j = _check_qubit(state, j)
     if i == j:
         raise SameIndexError(f"pair invariant needs two distinct qubits, got {i}")
     return float(1.0 - np.sum(_two_point(state.amplitudes, state.n_qubits, i, j) ** 2))
@@ -196,8 +199,8 @@ def _odd_tangle(amps: np.ndarray, n: int) -> np.ndarray:
 def triple_correlation_sum(state: PureState, i: int, j: int) -> float:
     """Nine-term sum <s_ia><s_jb><s_ia s_jb> over a, b in (x, y, z)."""
     _check_normalized(state)
-    _check_qubit(state, i)
-    _check_qubit(state, j)
+    i = _check_qubit(state, i)
+    j = _check_qubit(state, j)
     if i == j:
         raise SameIndexError(f"need two distinct qubits, got {i}")
     return float(_triple_correlation(state.amplitudes, state.n_qubits, i, j))
@@ -223,7 +226,8 @@ def cubic_invariant(state: PureState, method: str = "density") -> float:
     if method not in ("density", "pauli"):
         raise ValueError(f"method must be 'density' or 'pauli', got {method!r}")
     _check_normalized(state)
-    via_density, via_pauli = _cubic(state.amplitudes, 3, None)
+    a = state.amplitudes
+    via_density, via_pauli = _cubic(a, 3, _correlations(a, 3, [(1,), (2,), (1, 2)]), None)
     return float(via_density if method == "density" else via_pauli)
 
 
@@ -288,21 +292,11 @@ def invariant_count(n: int) -> int:
     return 2 ** (n + 1) - (3 * n + 1)
 
 
-# Batched evaluators: one value per vector of ``amps`` (..., 2**n), a single
-# vector for the report and a stack of images (samples, 2**n) for a campaign.
-# Each runs the checks of its per-operation counterpart on every vector:
-# reductions pass the DensityMatrix checks, correlators the imaginary-residue
-# check, and dual routes their agreement check. ``first`` is the number of a
-# campaign stack's first sample, which a failed check names; it is None for
-# one vector.
-
-def _density(amps: np.ndarray, n: int, kept: tuple[int, ...],
-             first: int | None) -> np.ndarray:
-    """Reduced density matrices over ``kept``, with the DensityMatrix checks."""
-    rho = _s._reduced(amps, n, kept)
-    _s._check_density(rho, first)
-    return rho
-
+# Batched evaluators: one value per vector of ``amps`` (..., 2**n), one vector
+# for the report and a stack of images (samples, 2**n) for a campaign. Each
+# runs the checks of its per-operation counterpart on every vector. ``first``
+# numbers a campaign stack's first sample, which a failed check names; it is
+# None for one vector.
 
 def _agree(what: str, first: int | None, tol: float, **routes: np.ndarray) -> None:
     """Raise InternalDisagreementError where two routes differ by more than ``tol``."""
@@ -324,61 +318,61 @@ _PAULI_ROWS = {
 }
 
 
-def _correlations(amps: np.ndarray, n: int, keeps: list[tuple[int, ...]],
-                  first: int | None = None) -> dict[int, np.ndarray]:
-    """Pauli correlators of ``amps`` reduced to each keep-set of ``keeps``.
+class _Checked(NamedTuple):
+    """One checked pass: rhos and I_{i}/I_{ij} values by keep-set, correlators by size."""
 
-    The keep-sets have one or two qubits each. The result maps each size
-    present to its correlators in the order of ``keeps``: shape
-    (..., singles, 3), resp. (..., pairs, 9) with <sigma_{i,a} sigma_{j,b}>
-    at 3a + b. The reductions come from one ``state._reductions`` call, so
-    from n = 12 on singles and pairs share the unions of qubit blocks that
-    serve them. Each size's rhos are stacked, so the DensityMatrix checks and
-    the 1e-10 imaginary-residue check run once per size, not once per
-    keep-set; a failed check names the keep-set's row.
+    rho: dict[tuple[int, ...], np.ndarray]
+    corr: dict[int, np.ndarray]
+    value: dict[tuple[int, ...], np.ndarray]
+
+
+def _correlations(amps: np.ndarray, n: int, keeps: Sequence[tuple[int, ...]],
+                  rows: Collection[str] = (), first: int | None = None) -> _Checked:
+    """Reduced density matrices of ``amps`` over each keep-set of one or two
+    qubits in ``keeps``, and Pauli correlators, <sigma_{i,a} sigma_{j,b}> at
+    3a + b, stacked in the order of ``keeps``, of those whose own I_{i} or
+    I_{ij} row is named in ``rows``, with that row's value. One
+    ``state._reductions`` call makes them all, so from n = 12 on singles and
+    pairs share unions of qubit blocks. The DensityMatrix checks and the
+    1e-10 imaginary-residue check run once per keep-set size on a stack; a
+    failed check names the keep-set's row.
     """
-    rhos = _s._reductions(amps, n, keeps)
-    out = {}
+    rho = dict(zip(keeps, _s._reductions(amps, n, keeps)))
+    names = {kept: _row_name(kept, n) for kept in keeps}
+    corr, value = {}, {}
     for size in (1, 2):
-        idx = [k for k, kept in enumerate(keeps) if len(kept) == size]
-        if not idx:
-            continue
-        rho = np.stack([rhos[k] for k in idx], axis=-3)
-        names = [single_name(*keeps[k]) if size == 1 else pair_name(*keeps[k], n)
-                 for k in idx]
-        _s._check_density(rho, first, names)
-        # One vector-matrix product per reduction: one matmul over all of them
-        # rounds differently when it has one row, so values would depend on stacking.
-        t = (rho.reshape(*rho.shape[:-2], 1, -1) @ _PAULI_ROWS[size].T)[..., 0, :]
-        out[size] = _s._real(t, f"{size}-point correlators", _p.HERMITIAN_RESIDUE_TOL,
-                             first, names)
-    return out
+        group = [kept for kept in keeps if len(kept) == size]
+        wanted = [kept for kept in group if names[kept] in rows]
+        if group:
+            stack = np.stack([rho[kept] for kept in group], axis=-3)
+            _s._check_density(stack, first, [names[kept] for kept in group])
+        if wanted:
+            if wanted != group:
+                stack = np.stack([rho[kept] for kept in wanted], axis=-3)
+            # One vector-matrix product per reduction: one matmul over all of them
+            # rounds differently when it has one row, so values would depend on stacking.
+            t = (stack.reshape(*stack.shape[:-2], 1, -1) @ _PAULI_ROWS[size].T)[..., 0, :]
+            corr[size] = t = _s._real(t, f"{size}-point correlators",
+                                      _p.HERMITIAN_RESIDUE_TOL, first,
+                                      [names[kept] for kept in wanted])
+            value.update(zip(wanted, np.moveaxis(1.0 - np.sum(t ** 2, axis=-1), -1, 0)))
+    return _Checked(rho, corr, value)
 
 
-def _first_kind(amps: np.ndarray, n: int, keeps: list[tuple[int, ...]],
-                first: int | None = None) -> np.ndarray:
-    """I_{i} or I_{ij} per keep-set: 1 minus the keep-set's squared
-    correlators, shape (..., len(keeps))."""
-    sizes = np.array([len(kept) for kept in keeps])
-    values = np.empty((*amps.shape[:-1], len(keeps)))
-    for size, t in _correlations(amps, n, keeps, first).items():
-        values[..., sizes == size] = 1.0 - np.sum(t ** 2, axis=-1)
-    return values
-
-
-def _purity(amps: np.ndarray, n: int, qubit: int, first: int | None) -> np.ndarray:
+def _purity(amps: np.ndarray, n: int, qubit: int, checked: _Checked,
+            first: int | None) -> np.ndarray:
     """tr(rho^2) of one qubit, checked against its Pauli-expectation form."""
-    via_purity = _s._trace_power(_density(amps, n, (qubit,), first), 2)
+    via_purity = _s._trace_power(checked.rho[(qubit,)], 2)
     via_pauli = 0.5 * (1.0 + np.sum(_one_point(amps, n, qubit) ** 2, axis=-1))
     _agree(f"purity of qubit {qubit}", first, INTERNAL_TOL,
            purity=via_purity, pauli=via_pauli)
     return via_purity
 
 
-def _cubic(amps: np.ndarray, n: int, first: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _cubic(amps: np.ndarray, n: int, checked: _Checked,
+           first: int | None) -> tuple[np.ndarray, np.ndarray]:
     """``cubic_invariant`` by its density and Pauli routes, checked to agree."""
-    rho_a, rho_b, rho_ab = (_density(amps, n, kept, first)
-                            for kept in ((1,), (2,), (1, 2)))
+    rho_a, rho_b, rho_ab = checked.rho[(1,)], checked.rho[(2,)], checked.rho[(1, 2)]
     via_density = (3.0 * _s._cross_term(rho_a, rho_b, rho_ab)
                    - _s._trace_power(rho_a, 3) - _s._trace_power(rho_b, 3))
     via_pauli = 0.25 * (1.0 + 3.0 * _triple_correlation(amps, n, 1, 2))
@@ -395,24 +389,25 @@ def _checked_tangle(amps: np.ndarray, first: int | None) -> np.ndarray:
 
 
 class Invariant(NamedTuple):
-    """One row of ``invariant_table``: what an invariant is and how to compute it.
-
-    A row has either ``batched`` or ``kept``: ``_evaluate`` reads every I_{i}
-    and I_{ij} row of a stack off one ``_first_kind`` call over their keep-sets.
-    """
+    """One row of ``invariant_table``: what an invariant is and how to compute
+    it. ``batched`` reads the keep-sets ``kept`` off ``_evaluate``'s one pass."""
 
     kind: str  # "real": first kind, LU-invariant; "complex": second kind, SLOCC
     degree: int  # polynomial degree in the amplitudes
     reference: Callable[[PureState], float | complex]  # per-operation route
-    # (amplitudes (..., 2**n), first sample or None) -> float or complex values by
-    # kind; None for I_{i} and I_{ij} rows, which ``_evaluate`` reads off ``kept``
-    batched: Callable[[np.ndarray, int | None], np.ndarray] | None
-    kept: tuple[int, ...] = ()  # the qubits an I_{i} or I_{ij} row keeps
+    # (amplitudes (..., 2**n), checked pass, first sample or None) -> values
+    batched: Callable[[np.ndarray, _Checked, int | None], np.ndarray]
+    kept: tuple[tuple[int, ...], ...] = ()  # the keep-sets whose reductions it reads
     # Report tolerances of the dual-route checks ``batched`` runs.
     tolerances: tuple[tuple[str, float], ...] = ()
 
 
 _INTERNAL = (("internal_agreement", INTERNAL_TOL),)
+
+
+def _keep_sets(n: int) -> list[tuple[int, ...]]:
+    """Every single and pair of qubits of an n-qubit state, in report order."""
+    return [(i,) for i in range(1, n + 1)] + list(itertools.combinations(range(1, n + 1), 2))
 
 
 def invariant_table(n: int) -> dict[str, Invariant]:
@@ -421,54 +416,53 @@ def invariant_table(n: int) -> dict[str, Invariant]:
     The three-qubit suite I_1..I_6 (n = 3 only), then I_{i} per qubit, I_{ij}
     per pair, and C (even n) or Z (odd n). These names are the entries of
     ``invariant_report`` and the selectors ``verify_invariance`` accepts.
-    Every second-kind value of a stack, C or Z and I_6's bilinear cross-check,
-    comes from the spin-flip contraction ``pauli._flip_gram``; no row applies
-    an operator. References call their function through this module's
-    globals at call time, so a wrapper installed on the module sees the call.
+    One checked reduction pass serves every row of a stack: I_2..I_5 read
+    their rhos off it, I_{i} and I_{ij} the values of their correlators. C, Z
+    and I_6's cross-check come from the spin-flip contraction
+    ``pauli._flip_gram``; no row applies an operator. References call their
+    function through this module's globals at call time, so a wrapper on the
+    module sees the call.
     """
     table: dict[str, Invariant] = {}
     if n == 3:
         table["I_1"] = Invariant(
             "real", 2, lambda s: float(np.vdot(s.amplitudes, s.amplitudes).real),
-            lambda a, first: _s._vdots(a, a).real)
+            lambda a, checked, first: _s._vdots(a, a).real)
         # I_2..I_4 are the purities of qubits 3, 2, 1.
         for name, q in (("I_2", 3), ("I_3", 2), ("I_4", 1)):
             table[name] = Invariant(
                 "real", 4, lambda s, q=q: purity(partial_trace(s, {q})),
-                lambda a, first, q=q: _purity(a, 3, q, first), tolerances=_INTERNAL)
+                lambda a, checked, first, q=q: _purity(a, 3, q, checked, first),
+                ((q,),), _INTERNAL)
         table["I_5"] = Invariant("real", 6, lambda s: cubic_invariant(s),
-                                 lambda a, first: _cubic(a, 3, first)[0],
-                                 tolerances=_INTERNAL)
-        table["I_6"] = Invariant("real", 4, lambda s: three_tangle(s), _checked_tangle,
+                                 lambda a, checked, first: _cubic(a, 3, checked, first)[0],
+                                 ((1,), (2,), (1, 2)), _INTERNAL)
+        table["I_6"] = Invariant("real", 4, lambda s: three_tangle(s),
+                                 lambda a, checked, first: _checked_tangle(a, first),
                                  tolerances=(("tangle_agreement", TANGLE_TOL),))
-    for i in range(1, n + 1):
-        table[single_name(i)] = Invariant(
-            "real", 4, lambda s, i=i: single_qubit_invariant(s, i), None, (i,))
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            table[pair_name(i, j, n)] = Invariant(
-                "real", 4, lambda s, i=i, j=j: pair_invariant(s, i, j), None, (i, j))
+    for kept in _keep_sets(n):
+        table[_row_name(kept, n)] = Invariant(
+            "real", 4,
+            lambda s, k=kept: (single_qubit_invariant if len(k) == 1 else pair_invariant)(
+                s, *k),
+            lambda a, checked, first, k=kept: checked.value[k],
+            (kept,))
     if n % 2 == 0:
         table["C"] = Invariant("complex", 2, lambda s: concurrence(s),
-                               lambda a, first: _concurrence(a, n))
+                               lambda a, checked, first: _concurrence(a, n))
     else:
         table["Z"] = Invariant("complex", 4, lambda s: odd_tangle(s),
-                               lambda a, first: _odd_tangle(a, n))
+                               lambda a, checked, first: _odd_tangle(a, n))
     return table
 
 
 def _evaluate(amps: np.ndarray, n: int, rows: dict[str, Invariant],
               first: int | None) -> dict[str, np.ndarray]:
     """Values of table ``rows`` per vector of ``amps`` (..., 2**n), by name:
-    one ``_first_kind`` call for the I_{i} and I_{ij} rows together; every
-    other row runs its batched evaluator with ``first``."""
-    names = [name for name, row in rows.items() if row.kept]
-    values = {}
-    if names:
-        stacked = _first_kind(amps, n, [rows[name].kept for name in names], first)
-        values = dict(zip(names, np.moveaxis(stacked, -1, 0)))
-    return {name: values[name] if row.kept else row.batched(amps, first)
-            for name, row in rows.items()}
+    every row reads one ``_correlations`` pass over all the rows' keep-sets."""
+    keeps = list(dict.fromkeys(k for row in rows.values() for k in row.kept))
+    checked = _correlations(amps, n, keeps, rows, first)
+    return {name: row.batched(amps, checked, first) for name, row in rows.items()}
 
 
 def single_name(i: int) -> str:
@@ -480,6 +474,11 @@ def pair_name(i: int, j: int, n: int) -> str:
     if n <= 9:
         return f"I_{{{i}{j}}}"
     return f"I_{{{i},{j}}}"
+
+
+def _row_name(kept: tuple[int, ...], n: int) -> str:
+    """Name of the I_{i} or I_{ij} row of a keep-set of one or two qubits."""
+    return single_name(*kept) if len(kept) == 1 else pair_name(*kept, n)
 
 
 def report_entry_names(n: int) -> list[str]:
@@ -495,10 +494,8 @@ def three_qubit_suite(state: PureState) -> InvariantReport:
     I_6 = three-tangle, checked against |pair_tangle(AB)| to 1e-9.
     """
     _check_three(state, "the suite")
-    # The suite is the real rows of the n = 3 table that keep no qubit set.
-    rows = {name: row for name, row in invariant_table(3).items()
-            if row.kind == "real" and not row.kept}
-    return _report(state, rows, {})
+    table = invariant_table(3)
+    return _report(state, {f"I_{k}": table[f"I_{k}"] for k in range(1, 7)}, {})
 
 
 def _report(state: PureState, rows: dict[str, Invariant],
@@ -521,19 +518,18 @@ def first_kind_fingerprint(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(singles, pairs)`` where ``singles[i-1, a]`` is <sigma_{i,a}> =
     tr(rho_i sigma_a) and ``pairs[i-1, j-1]`` (i < j only; other blocks are
     NaN) is the 3x3 block <sigma_{i,a} sigma_{j,b}> = tr(rho_ij sigma_a (x)
-    sigma_b). Every rho comes from one ``state._reductions`` pass over all
-    singles and pairs, which holds at most one extra copy of the state at a
-    time: one reduction per keep-set below n = 12, one per union of two qubit
-    blocks from n = 12 on. It is the route of the report's I_{i} and I_{ij}
-    rows; ``single_qubit_invariant`` and ``pair_invariant`` compute the same
-    correlators by a strided contraction of the state instead, as its
+    sigma_b). Every rho comes from one checked ``_correlations`` pass over
+    all singles and pairs, which holds at most one extra copy of the state at
+    a time: one reduction per keep-set below n = 12, one per union of two
+    qubit blocks from n = 12 on. It is the route of the report's I_{i} and
+    I_{ij} rows; ``single_qubit_invariant`` and ``pair_invariant`` compute the
+    same correlators by a strided contraction of the state instead, as its
     cross-check.
     """
     _check_normalized(state)
     n = state.n_qubits
-    keeps = [(i,) for i in range(1, n + 1)]
-    keeps += [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    corr = _correlations(state.amplitudes, n, keeps)
+    keeps = _keep_sets(n)
+    corr = _correlations(state.amplitudes, n, keeps, {_row_name(k, n) for k in keeps}).corr
     pairs = np.full((n, n, 3, 3), np.nan, dtype=np.float64)
     if n > 1:
         pairs[np.triu_indices(n, 1)] = corr[2].reshape(-1, 3, 3)

@@ -1,35 +1,27 @@
 """Random states, random local-operator sampling and the invariance harness.
 
-Local unitaries are drawn from the Euler-angle product
-e^{i a sigma_z} e^{i w sigma_y} e^{i b sigma_z} with a, b uniform on [0, 2pi)
-and w uniform on [0, pi); this is not the Haar measure, which is fine for
-invariance testing because an invariant must hold pointwise for every group
-element. Determinant-one operators exponentiate traceless Gaussian matrices
-with the 2x2 closed form exp(M) = cosh(d) I + sinh(d)/d M, d^2 = -det M,
-and are rejected on a closed-form condition number. numpy is the only
-dependency.
+Local unitaries are Euler-angle products e^{i a sigma_z} e^{i w sigma_y}
+e^{i b sigma_z}, with a, b uniform on [0, 2pi) and w on [0, pi): not the Haar
+measure, which is fine, since an invariant must hold for every group element.
+Determinant-one operators exponentiate traceless Gaussian matrices by the 2x2
+closed form exp(M) = cosh(d) I + sinh(d)/d M, d^2 = -det M, and are rejected
+on a closed-form condition number. numpy is the only dependency.
 
-A campaign checks any number of invariants of one state on one group's
-orbit; ``verify_invariance`` is its one-invariant case. It runs in chunks of
-samples (as many as keep a chunk within 2**12 amplitudes: 100 samples make
-one chunk up to n = 5, and a chunk holds one sample from n = 12 on). Sample k's
-operator is ``random_lu`` or ``random_sl`` at the sub-seed
-``SeedSequence((seed, k)).generate_state(1)[0]``, bit for bit, so numpy alone
-replays it; a campaign computes the generator words of up to 4096 samples at
-once by running numpy's SeedSequence on uint32 columns. An LU campaign builds
-no generator: ``_pcg64_uniforms`` computes each sample's PCG64 doubles from
-its words in closed form on uint64 arrays. SL campaigns keep one generator per
-sample, since numpy's ziggurat normals rest on tables it does not expose. The
-group draws the operators of a seed block in one call; per chunk, it validates
-and applies one (chunk, n, 2, 2) stack of them, so sample k has one operator
-whatever the invariant, and
-``invariants._evaluate``, the report's evaluator, evaluates every invariant
-with every check of its per-operation route on the (chunk, 2**n) stack of
-images. ``random_sl``, ``LocalOperator`` and ``apply_local`` are the
-one-sample case of the same code (``_draw_sl``, ``_check_ops``, ``_images``).
-``random_lu`` shares only ``_euler_factors`` with LU campaigns: it draws from
-a ``Generator`` (``_draw_lu``), as one sample's factors took 169-182 us by
-the words route against 37-41 us.
+A campaign checks any number of invariants of one state on one group's orbit
+(``verify_invariance`` is its one-invariant case), in chunks of at most 2**12
+image amplitudes. Sample k's operator is ``random_lu`` or ``random_sl`` at the
+sub-seed ``SeedSequence((seed, k)).generate_state(1)[0]``, bit for bit; numpy's
+SeedSequence, run on uint32 columns, gives the words of 4096 samples at once.
+LU campaigns build no generator (``_pcg64_uniforms`` computes the PCG64
+doubles from the words); SL campaigns build one per sample, as numpy's
+ziggurat normals rest on tables it does not expose. Per chunk, one validated
+(chunk, n, 2, 2) stack of operators makes the images, and one
+``invariants._evaluate`` call, the report's evaluator, computes every row on
+them with every check of its per-operation route: one checked reduction pass
+serves all the rows. ``random_sl``, ``LocalOperator`` and ``apply_local`` are
+the one-sample case of the same code; ``random_lu`` draws from a
+``Generator`` (``_draw_lu``), as one sample's factors took 169-182 us by the
+words route against 37-41 us.
 """
 from __future__ import annotations
 
@@ -50,6 +42,7 @@ from .errors import (
     LengthMismatchError,
     NotUnitaryError,
     TooLargeError,
+    UnnormalizedError,
 )
 from .state import PureState
 
@@ -481,20 +474,18 @@ def verify_invariance(state: PureState, invariant: str, group: str,
     """Sample a group orbit of ``state`` and measure how much the invariant moves.
 
     ``invariant`` names a row of ``invariants.invariant_table(n)``. Every
-    deviation is |value - base|, complex (second-kind) rows compared as
-    complex numbers. LU orbits hold it against ``tol``; their factors have
-    determinant one, so C and Z are exact invariants of them. SL orbits test
-    only the complex rows, on the raw (unnormalized) images, and the verdict
-    uses the relative deviation: it divides by |base|, or, when |base| is at most
-    2**-26 * ``raw_norm ** degree`` of an image (too small for float64 to
-    resolve a relative change of 1e-7), by ``raw_norm ** degree`` (1 on LU).
-    The base comes from the row's per-operation reference, the images' values
-    from its batched evaluator. For I_{i} and I_{ij} those are two routes, a
-    strided contraction of the state against reduced density matrices, and
-    for C and Z the operator kernel against one spin-flip contraction, so
-    their disagreement shows up as a deviation; other references share the
-    evaluator's kernels. ``tol`` must be finite and > 0, ``seed``
-    a non-negative integer. Sample k's operator, whatever the row, is
+    deviation is |value - base|, complex rows compared as complex numbers.
+    LU orbits, which need a normalized state, hold it against ``tol``; their
+    factors have determinant one, so C and Z are exact invariants of them. SL
+    orbits test only the complex rows, on the raw images, by the relative
+    deviation: divided by |base|, or by ``raw_norm ** degree`` when |base| is
+    at most 2**-26 times that (too small for float64 to resolve a relative
+    change of 1e-7). The base comes from the row's per-operation reference,
+    the images' values from its batched evaluator: two routes for I_{i} and
+    I_{ij} (a strided contraction against reduced density matrices) and for C
+    and Z (the operator kernel against one spin-flip contraction), so their
+    disagreement shows as a deviation. ``tol`` must be finite and > 0,
+    ``seed`` a non-negative integer. Sample k's operator, whatever the row, is
     ``random_lu`` (without phases) or ``random_sl`` at the sub-seed
     ``SeedSequence((seed, k)).generate_state(1)[0]``; ``worst_sample`` names
     the k to replay.
@@ -516,6 +507,11 @@ def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    if group == LU_KIND and not state.is_normalized:  # apply_local's check, on the input
+        nsq = float(_s._vdots(state.amplitudes, state.amplitudes).real)
+        if not abs(nsq - 1.0) <= _s.NORM_SQ_TOL:
+            raise UnnormalizedError(f"input state: squared norm {nsq!r} deviates from 1 "
+                                    f"by more than {_s.NORM_SQ_TOL}")
     n = state.n_qubits
     table = _inv.invariant_table(n)
     rows: dict[str, _inv.Invariant] = {}

@@ -21,7 +21,7 @@ from .errors import (
     LengthMismatchError,
     NotUnitaryError,
 )
-from .state import NORM_SQ_TOL, PureState, _real, _vdots
+from .state import NORM_SQ_TOL, PureState, _index, _real, _vdots
 
 PAULI_I = np.array([[1, 0], [0, 1]], dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -214,6 +214,7 @@ def apply_single_qubit(state: PureState, qubit: int, op: np.ndarray) -> PureStat
     at n = 3-7 (2-vCPU Xeon VM).
     """
     n = state.n_qubits
+    qubit = _index(qubit, IndexOutOfRangeError)
     if not 1 <= qubit <= n:
         raise IndexOutOfRangeError(f"qubit {qubit} out of range 1..{n}")
     op = _as_2x2(op)

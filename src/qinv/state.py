@@ -10,6 +10,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -87,7 +88,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        kept = tuple(int(q) for q in self.kept_qubits)
+        kept = tuple(_index(q, BadSubsetError) for q in self.kept_qubits)
         if len(kept) == 0:
             raise BadSubsetError("kept_qubits must be nonempty")
         if len(set(kept)) != len(kept):
@@ -109,6 +110,16 @@ class DensityMatrix:
     @property
     def side(self) -> int:
         return self.matrix.shape[0]
+
+
+def _index(q, error: type[Exception]) -> int:
+    """Qubit index ``q`` as an int; a bool or non-integer (2.0 too) raises ``error``."""
+    if not isinstance(q, bool):  # numpy's bool_ fails operator.index
+        try:
+            return operator.index(q)
+        except TypeError:
+            pass
+    raise error(f"qubit index must be an integer, got {q!r}")
 
 
 def _failing(bad: np.ndarray, core: int = 0, first: int | None = 0,
@@ -166,8 +177,9 @@ def _check_density(m: np.ndarray, first: int | None = 0,
     these entries is of order 1e-15) and the stack passes. Otherwise
     ``eigvalsh`` decides and names the failing matrix, as without it."""
     mh = m.conj().swapaxes(-1, -2)
-    herm = np.abs(m - mh).max(axis=(-2, -1))
-    if not herm.max() <= HERMITIAN_TOL:
+    skew = np.abs(m - mh)
+    if not skew.max() <= HERMITIAN_TOL:
+        herm = skew.max(axis=(-2, -1))
         _, at = _failing(~(herm <= HERMITIAN_TOL), 0, first, rows)
         raise ValueError(f"{at}density matrix is not Hermitian within tolerance")
     tr = m.trace(axis1=-2, axis2=-1)
@@ -320,19 +332,12 @@ def _reductions(amps: np.ndarray, n: int, keeps: Sequence[Sequence[int]]) -> lis
 
 
 def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix over ``keep``, tracing out all other qubits.
-
-    Parameters
-    ----------
-    state : PureState
-        Normalized input state.
-    keep : iterable of int
-        Nonempty subset of 1..n (improper subsets allowed). The reduced matrix
-        uses the kept qubits in increasing original order, the smallest kept
-        index being the most significant bit of the reduced basis.
-    """
+    """Reduced density matrix of a normalized ``state`` over ``keep``, a
+    nonempty set of integer qubit indices in 1..n (improper subsets allowed),
+    tracing out all other qubits. The kept qubits appear in increasing order,
+    the smallest as the most significant bit of the reduced basis."""
     n = state.n_qubits
-    kept = sorted({int(q) for q in keep})
+    kept = sorted({_index(q, BadSubsetError) for q in keep})
     if not kept:
         raise BadSubsetError("keep must be a nonempty set of qubit indices")
     if kept[0] < 1 or kept[-1] > n:

@@ -135,6 +135,18 @@ def test_missing_file_exits_2(tmp_path):
     assert main(["compute", "-s", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["compute", "verify", "compare"])
+def test_non_utf8_state_file_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(StateFileError, match=r"bad\.json: cannot read: .*utf-8"):
+        load_state(str(path))
+    argv = [command, str(path), str(path)] if command == "compare" else [command, "-s", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{path}: cannot read: ") and captured.out == ""
+
+
 # ------------------------------------------------------------------ compute
 
 def test_compute_unnormalized_requires_flag(tmp_path, capsys):

@@ -31,6 +31,7 @@ from qinv import (
     triple_correlation_sum,
 )
 from qinv import invariants as _inv
+from qinv import orbit as _orbit
 from qinv import pauli as _p
 from qinv import state as _s
 from qinv.invariants import invariant_table, report_entry_names
@@ -68,6 +69,20 @@ def test_single_invariant_errors(ghz3):
     raw = PureState(1, np.array([2.0, 0.0]), is_normalized=False)
     with pytest.raises(UnnormalizedError):
         single_qubit_invariant(raw, 1)
+
+
+@pytest.mark.parametrize("bad", [2.0, 1.7, "2", True])
+def test_qubit_indices_must_be_integers(ghz3, bad):
+    for call in (lambda: single_qubit_invariant(ghz3, bad),
+                 lambda: single_qubit_invariant_dm(ghz3, bad),
+                 lambda: pair_invariant(ghz3, 1, bad),
+                 lambda: pair_invariant(ghz3, bad, 1),
+                 lambda: triple_correlation_sum(ghz3, bad, 3)):
+        with pytest.raises(IndexOutOfRangeError, match="qubit index must be an integer"):
+            call()
+    s = random_state(3, 83)
+    assert single_qubit_invariant(s, np.int64(2)) == single_qubit_invariant(s, 2)
+    assert pair_invariant(s, np.int32(1), np.uint8(3)) == pair_invariant(s, 1, 3)
 
 
 def test_single_invariant_bounds():
@@ -498,6 +513,41 @@ def test_first_kind_rows_share_block_reductions(monkeypatch, n, copies):
         calls.clear()
         run(state)
         assert len(calls) == copies, run.__name__
+
+
+def test_n3_rows_share_one_checked_reduction_pass(monkeypatch):
+    # At n = 3 the suite rows I_2..I_5 read the same reductions as the I_{i}
+    # and I_{ij} rows: one _reduced call per distinct keep-set and one
+    # density check per keep-set size, for a report and a campaign chunk alike.
+    reduced, check_density = _s._reduced, _s._check_density
+    kept, shapes = [], []
+
+    def counting_reduced(amps, n, keep):
+        kept.append(tuple(keep))
+        return reduced(amps, n, keep)
+
+    def counting_density(m, *args):
+        shapes.append(m.shape)
+        return check_density(m, *args)
+
+    def counts(run):
+        kept.clear()
+        shapes.clear()
+        run()
+        return len(kept), list(shapes)
+
+    state = random_state(3, 82)
+    ops = _orbit._lu_from_words(_orbit._seed_words(0, 0, 100), 3)
+    images, _ = _orbit._images(state.amplitudes, 3, ops, "LU")
+    table = invariant_table(3)
+    monkeypatch.setattr(_s, "_reduced", counting_reduced)
+    monkeypatch.setattr(_s, "_check_density", counting_density)
+    assert counts(lambda: invariant_report(state)) == (6, [(3, 2, 2), (3, 4, 4)])
+    assert counts(lambda: three_qubit_suite(state)) == (4, [(3, 2, 2), (1, 4, 4)])
+    assert counts(lambda: _inv._evaluate(images, 3, table, 0)) == (
+        6, [(100, 3, 2, 2), (100, 3, 4, 4)])
+    assert counts(lambda: _inv._evaluate(images, 3, {"I_5": table["I_5"]}, 0)) == (
+        3, [(100, 2, 2, 2), (100, 1, 4, 4)])
 
 
 # ------------------------------------------------- independence of I_1..I_6

@@ -308,6 +308,20 @@ def test_verify_first_kind_on_ghz(ghz3):
     assert report.metric == "abs"
 
 
+def test_lu_campaign_rejects_an_unnormalized_input_before_drawing(monkeypatch):
+    # The input state is at fault, not sample 0; SL orbits take such states.
+    raw = qinv.PureState(2, [2, 0, 0, 0], is_normalized=False)
+    calls = count_calls(monkeypatch, [(_orbit, "_seed_words")])
+    with pytest.raises(qinv.UnnormalizedError,
+                       match=r"^input state: squared norm 4\.0 deviates from 1"):
+        verify_invariance(raw, "C", "LU", 5, 1e-9, 0)
+    assert calls == []
+    assert verify_invariance(raw, "C", "SL", 5, 1e-7, 0).passed
+    # A state flagged unnormalized whose norm is 1 still passes apply_local's check.
+    assert verify_invariance(qinv.PureState(2, [1, 0, 0, 0], is_normalized=False),
+                             "C", "LU", 5, 1e-9, 0).passed
+
+
 def test_verify_modulus_kind_on_bell(bell):
     report = verify_invariance(bell, "C", "LU", 100, 1e-9, 42)
     assert report.passed
@@ -561,7 +575,7 @@ def test_tampered_route_fails_a_batched_campaign(monkeypatch, name, routes):
     images, _ = _orbit._images(s.amplitudes, 3, ops, "LU", 5)
     with pytest.raises(InternalDisagreementError,
                        match=f"^sample 5: {routes} routes disagree"):
-        _inv.invariant_table(3)[name].batched(images, 5)
+        _inv._evaluate(images, 3, {name: _inv.invariant_table(3)[name]}, 5)
 
 
 @pytest.mark.parametrize("group, tol", [("LU", 1e-9), ("SL", 1e-7)])
@@ -775,6 +789,24 @@ def test_stacked_density_check_names_the_row_and_sample(monkeypatch, n, target, 
         _orbit._campaign(random_state(n, 92), names, "LU", 10, 1e-9, 0)
 
 
+@pytest.mark.parametrize("name", ["I_2", "I_5"])
+def test_suite_row_density_check_names_the_keep_sets_row(monkeypatch, name):
+    # I_2 and I_5 read rho_3, resp. rho_1, off the stack's one checked
+    # reduction pass, whose density check names the keep-set's I_{i} row.
+    target = (3,) if name == "I_2" else (1,)
+    reduced = _s._reduced
+
+    def tampered(amps, n, kept):
+        rho = reduced(amps, n, kept)
+        if amps.ndim > 1 and tuple(kept) == target:
+            rho[2:] *= 1.1
+        return rho
+
+    monkeypatch.setattr(_s, "_reduced", tampered)
+    with pytest.raises(ValueError, match=rf"^sample 2: I_\{{{target[0]}\}}: density matrix trace"):
+        verify_invariance(random_state(3, 92), name, "LU", 10, 1e-9, 0)
+
+
 def test_stacked_residue_check_names_the_row_and_sample(monkeypatch):
     rows = dict(_inv._PAULI_ROWS)
     rows[2] = rows[2] * (1.0 + 1e-6j)
@@ -888,8 +920,8 @@ def _plant(monkeypatch, state, name, planted):
         rows = table(n)
         row = rows[name]
 
-        def batched(amps, first):
-            out = row.batched(amps, first).copy()
+        def batched(amps, checked, first):
+            out = row.batched(amps, checked, first).copy()
             for k, shift in planted.items():
                 if amps.ndim > 1 and 0 <= k - first < len(out):
                     out[k - first] = base + shift
@@ -978,6 +1010,6 @@ def test_shifted_reductions_fail_the_one_and_two_point_rows(monkeypatch, n):
         # n = 13, by either route. Adding |0...0> keeps them far from mixed.
         state = qinv.new_state(n, state.amplitudes + np.eye(1, 1 << n)[0], normalize=True)
     table = _inv.invariant_table(n)
-    for name in [name for name, row in table.items() if row.kept]:
+    for name in [name for name in table if name.startswith("I_{")]:
         report = verify_invariance(state, name, "LU", 5, 1e-9, 0)
         assert not report.passed, (name, report.max_abs_deviation)

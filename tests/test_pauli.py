@@ -72,6 +72,14 @@ def test_apply_out_of_range(ghz3):
         apply_single_qubit(ghz3, 4, PAULI_X)
 
 
+@pytest.mark.parametrize("bad", [2.0, 1.7, "2", True])
+def test_apply_rejects_a_qubit_that_is_not_an_integer(ghz3, bad):
+    with pytest.raises(IndexOutOfRangeError, match="qubit index must be an integer"):
+        apply_single_qubit(ghz3, bad, PAULI_X)
+    out = apply_single_qubit(ghz3, np.int64(2), PAULI_X)
+    assert np.array_equal(out.amplitudes, apply_single_qubit(ghz3, 2, PAULI_X).amplitudes)
+
+
 def test_apply_unitary_preserves_norm():
     for seed in range(10):
         s = random_state(4, seed)

@@ -184,6 +184,21 @@ def test_ptrace_bad_subset(ghz3):
         partial_trace(ghz3, {4})
 
 
+@pytest.mark.parametrize("bad", [1.7, 2.0, "1", None, True, np.True_])
+def test_qubit_indices_must_be_integers(ghz3, bad):
+    with pytest.raises(BadSubsetError, match="qubit index must be an integer"):
+        partial_trace(ghz3, [bad])
+    with pytest.raises(BadSubsetError, match="qubit index must be an integer"):
+        DensityMatrix((bad,), np.eye(2) / 2)
+
+
+def test_numpy_integer_indices_pass(ghz3):
+    rho = partial_trace(ghz3, [np.int64(1), np.uint8(3)])
+    assert rho.kept_qubits == (1, 3) and all(type(q) is int for q in rho.kept_qubits)
+    assert np.array_equal(rho.matrix, partial_trace(ghz3, [1, 3]).matrix)
+    assert DensityMatrix((np.int32(2),), np.eye(2) / 2).kept_qubits == (2,)
+
+
 def test_ptrace_keep_cap():
     s = random_state(13, 0)
     with pytest.raises(TooLargeError):
