@@ -20,6 +20,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .errors import (
     UnnormalizedInputError,
 )
 from .invariants import InvariantReport
-from .state import MAX_QUBITS, PureState, new_state
+from .state import MAX_QUBITS, PureState, _new_state
 
 DEFAULT_LU_TOL = 1e-9
 DEFAULT_SL_TOL = 1e-7
@@ -46,19 +47,33 @@ def _fmt(x: float) -> str:
     return f"{x:.16e}"
 
 
+# One amplitude's line of a state file, in ``_fmt``'s number format.
+_PAIR = "    [{:.16e}, {:.16e}]".format
+# Amplitudes per piece of state-file text: about 800 KB of it.
+_PIECE = 1 << 14
+
+
+def _state_text(state: PureState) -> Iterator[str]:
+    """Canonical state-file text in pieces of at most ``_PIECE`` amplitudes:
+    fixed field order, fixed number format."""
+    yield f'{{\n  "n_qubits": {state.n_qubits},\n  "amplitudes": [\n'
+    for at in range(0, state.dim, _PIECE):
+        part = state.amplitudes[at:at + _PIECE]
+        yield ("" if at == 0 else ",\n") + ",\n".join(
+            map(_PAIR, part.real.tolist(), part.imag.tolist()))
+    yield '\n  ],\n  "normalized": true\n}\n'
+
+
 def dumps_state(state: PureState) -> str:
     """Canonical state-file text: fixed field order, fixed number format."""
-    lines = ["{", f'  "n_qubits": {state.n_qubits},', '  "amplitudes": [']
-    last = state.dim - 1
-    for k, amp in enumerate(state.amplitudes):
-        comma = "," if k != last else ""
-        lines.append(f"    [{_fmt(amp.real)}, {_fmt(amp.imag)}]{comma}")
-    lines += ["  ],", '  "normalized": true', "}", ""]
-    return "\n".join(lines)
+    return "".join(_state_text(state))
 
 
 def write_state(state: PureState, path: str) -> None:
-    Path(path).write_text(dumps_state(state), encoding="utf-8")
+    """Write ``dumps_state(state)`` to ``path`` a piece at a time, so the
+    whole text is never held at once."""
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.writelines(_state_text(state))
 
 
 def _number_pairs(raw: list) -> np.ndarray | None:
@@ -75,6 +90,8 @@ def _number_pairs(raw: list) -> np.ndarray | None:
 
 
 def load_state(path: str, normalize: bool = False) -> PureState:
+    """The state in a state file. The text is dropped once parsed and the
+    parsed numbers once converted, and the state holds the converted array."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -85,6 +102,7 @@ def load_state(path: str, normalize: bool = False) -> PureState:
         raise StateFileError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
+    del text
     if not isinstance(data, dict):
         raise StateFileError(f"{path}: top level must be a JSON object")
     if "n_qubits" not in data:
@@ -118,8 +136,9 @@ def load_state(path: str, normalize: bool = False) -> PureState:
                 amps[k] = complex(item[0], item[1])
             except OverflowError:
                 raise StateFileError(f"{path}: amplitudes[{k}]: integer out of float64 range")
+    del data, raw
     try:
-        return new_state(n, amps, normalize=normalize)
+        return _new_state(n, amps, normalize)
     except UnnormalizedError as exc:
         raise UnnormalizedInputError(
             f"{path}: state is not normalized; pass --normalize to rescale ({exc})"
@@ -283,7 +302,7 @@ def cmd_random(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     if args.out is None:
-        sys.stdout.write(dumps_state(state))
+        sys.stdout.writelines(_state_text(state))
         return 0
     try:
         write_state(state, args.out)

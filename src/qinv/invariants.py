@@ -287,6 +287,7 @@ def _tangle(amps: np.ndarray) -> np.ndarray:
 
 def invariant_count(n: int) -> int:
     """Number of independent invariant parameters of an n-qubit pure state."""
+    n = _s._index(n, TypeError, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return 2 ** (n + 1) - (3 * n + 1)

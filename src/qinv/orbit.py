@@ -41,7 +41,6 @@ from .errors import (
     InvariantNotApplicableError,
     LengthMismatchError,
     NotUnitaryError,
-    TooLargeError,
     UnnormalizedError,
 )
 from .state import PureState
@@ -179,15 +178,18 @@ class VerificationReport:
 
 
 def random_state(n: int, seed: int) -> PureState:
-    """Haar-direction random state: complex Gaussian entries, normalized."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > _s.MAX_QUBITS:
-        raise TooLargeError(f"n={n} exceeds the maximum of {_s.MAX_QUBITS}")
-    rng = np.random.default_rng(seed)
-    vec = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    """Haar-direction random state: complex Gaussian entries, normalized.
+
+    The real parts are drawn first, then the imaginary parts, each straight
+    into the state's one array, which the state then holds.
+    """
+    n = _s._qubits(n)
+    rng = np.random.default_rng(_s._index(seed, TypeError, "seed"))
+    vec = np.empty(1 << n, dtype=np.complex128)
+    vec.real = rng.standard_normal(1 << n)
+    vec.imag = rng.standard_normal(1 << n)
     vec /= np.linalg.norm(vec)
-    return PureState(n, vec)
+    return PureState._own(n, vec)
 
 
 def _euler_unitary(alpha, omega, beta) -> np.ndarray:
@@ -238,10 +240,11 @@ def random_lu(n: int, seed: int, global_phase: bool = False) -> LocalOperator:
     Each factor has determinant one; ``global_phase`` multiplies every factor
     by an independent uniform phase (making the determinant a phase too).
     """
+    n = _s._index(n, TypeError, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return LocalOperator(tuple(_draw_lu([np.random.default_rng(seed)], n, global_phase)[0]),
-                         LU_KIND)
+    rng = np.random.default_rng(_s._index(seed, TypeError, "seed"))
+    return LocalOperator(tuple(_draw_lu([rng], n, global_phase)[0]), LU_KIND)
 
 
 def _draw_sl(rngs: Iterable[np.random.Generator], n: int, spread: float,
@@ -291,11 +294,13 @@ def random_sl(n: int, seed: int, spread: float = _SL_SPREAD) -> LocalOperator:
     numerically, and reject on the condition number. Each attempt draws every
     still-pending qubit at once; only rejected qubits are drawn again.
     """
+    n = _s._index(n, TypeError, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if spread <= 0:
         raise ValueError(f"spread must be > 0, got {spread}")
-    ops = _draw_sl([np.random.default_rng(seed)], n, spread)[0]
+    rng = np.random.default_rng(_s._index(seed, TypeError, "seed"))
+    ops = _draw_sl([rng], n, spread)[0]
     return LocalOperator(tuple(ops), SL_KIND)
 
 
@@ -304,14 +309,14 @@ def _images(amps: np.ndarray, n: int, ops: np.ndarray, kind: str,
     """Images of one amplitude vector under a local operator (n, 2, 2) or a
     stack of them (samples, n, 2, 2) numbered from ``first``.
 
-    Returns the raw images (2**n or (samples, 2**n)) and their norms. Every
-    image must be finite, and an LU image normalized within 1e-10 (the
-    PureState checks).
+    Returns the raw images (2**n or (samples, 2**n)) and their squared
+    norms. Every image must be finite, and an LU image normalized within
+    1e-10 (the PureState checks).
     """
     out = _p._apply_factors(amps, n, ops.swapaxes(0, -3))
     nsq = _s._vdots(out, out).real
     _s._check_norms(nsq, kind == LU_KIND, first)
-    return out, np.sqrt(nsq)
+    return out, nsq
 
 
 def apply_local(state: PureState, g: LocalOperator) -> tuple[PureState, float]:
@@ -326,10 +331,12 @@ def apply_local(state: PureState, g: LocalOperator) -> tuple[PureState, float]:
     n = state.n_qubits
     if len(g) != n:
         raise LengthMismatchError(f"operator has {len(g)} factors, state has {n} qubits")
-    amps, raw_norm = _images(state.amplitudes, n, np.array(g.ops), g.kind)
+    amps, nsq = _images(state.amplitudes, n, np.array(g.ops), g.kind)
+    raw_norm = np.sqrt(nsq)
     if g.kind == LU_KIND:
-        return PureState(n, amps), float(raw_norm)
-    return PureState(n, amps / raw_norm), float(raw_norm)
+        return PureState._own(n, amps, nsq=nsq), float(raw_norm)
+    amps /= raw_norm
+    return PureState._own(n, amps), float(raw_norm)
 
 
 # numpy's SeedSequence (NEP 19 fixes its algorithm and constants) on uint32
@@ -498,11 +505,11 @@ def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
     """``verify_invariance`` of each of ``names``, from one campaign: one draw
     of operators per seed block, and per chunk one validated stack of them
     and one ``_evaluate`` call for every row."""
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
+    seed = _s._index(seed, TypeError, "seed")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     group = _group(group)
+    samples = _s._index(samples, TypeError, "samples")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if not 0.0 < tol < math.inf:
@@ -541,7 +548,8 @@ def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
         for start in range(at, at + len(drawn), per_chunk):
             ops = drawn[start - at:start - at + per_chunk]
             _check_ops(ops, group, start)
-            images, raw_norm = _images(state.amplitudes, n, ops, group, start)
+            images, nsq = _images(state.amplitudes, n, ops, group, start)
+            raw_norm = np.sqrt(nsq)
             for name, values in _inv._evaluate(images, n, rows, start).items():
                 dev, base_mag = np.abs(values - base[name]), abs(base[name])
                 unit = raw_norm ** rows[name].degree

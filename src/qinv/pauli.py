@@ -200,8 +200,9 @@ def _flip_gram(amps: np.ndarray, n: int, free: int) -> np.ndarray:
 
 
 def _wrap(n: int, amps: np.ndarray) -> PureState:
+    """The state of a fresh kernel output, normed once and not copied."""
     nsq = float(np.vdot(amps, amps).real)
-    return PureState(n, amps, is_normalized=abs(nsq - 1.0) <= NORM_SQ_TOL)
+    return PureState._own(n, amps, abs(nsq - 1.0) <= NORM_SQ_TOL, nsq)
 
 
 def apply_single_qubit(state: PureState, qubit: int, op: np.ndarray) -> PureState:

@@ -43,7 +43,11 @@ class PureState:
 
     ``amplitudes`` has length 2**n_qubits and is stored read-only. States are
     normalized unless explicitly constructed with ``is_normalized=False``;
-    first-kind invariant operations reject the unnormalized form.
+    first-kind invariant operations reject the unnormalized form. The
+    constructor copies the caller's amplitudes once, so changing them later
+    leaves the state as it was. The vectors qinv computes itself
+    (``random_state``, ``conjugate``, the ``apply_*`` functions, ``new_state``'s
+    own copy) are handed to their state without another copy.
     """
 
     n_qubits: int
@@ -51,20 +55,30 @@ class PureState:
     is_normalized: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        if self.n_qubits > MAX_QUBITS:
-            raise TooLargeError(
-                f"n_qubits={self.n_qubits} exceeds the maximum of {MAX_QUBITS}"
-            )
-        amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size != 1 << self.n_qubits:
+        n = _qubits(self.n_qubits, "n_qubits")
+        self._hold(n, np.array(self.amplitudes, dtype=np.complex128), None)
+
+    @classmethod
+    def _own(cls, n: int, amps: np.ndarray, is_normalized: bool = True,
+             nsq: float | None = None) -> PureState:
+        """A state that takes ``amps``, a C-contiguous complex128 vector that
+        no one else writes to, without copying it. ``nsq`` is its squared
+        norm if the caller has computed it; the checks are the constructor's."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "is_normalized", is_normalized)
+        state._hold(n, amps, nsq)
+        return state
+
+    def _hold(self, n: int, amps: np.ndarray, nsq: float | None) -> None:
+        """Check ``amps`` as the vector of ``n`` qubits (``nsq`` its squared
+        norm, or None to take it here), make it read-only and store it."""
+        if amps.ndim != 1 or amps.size != 1 << n:
             raise LengthMismatchError(
-                f"expected {1 << self.n_qubits} amplitudes for "
-                f"n_qubits={self.n_qubits}, got {amps.size}"
+                f"expected {1 << n} amplitudes for n_qubits={n}, got {amps.size}"
             )
-        _check_norms(np.vdot(amps, amps).real, self.is_normalized)
+        _check_norms(np.vdot(amps, amps).real if nsq is None else nsq, self.is_normalized)
         amps.setflags(write=False)
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -75,9 +89,9 @@ class PureState:
         return float(np.linalg.norm(self.amplitudes))
 
     def digest(self) -> str:
-        """Short content hash of the amplitude vector (for report metadata)."""
-        raw = np.ascontiguousarray(self.amplitudes).tobytes()
-        return hashlib.sha256(raw).hexdigest()[:16]
+        """Short content hash of the amplitude vector (for report metadata):
+        the first 16 hex digits of the SHA-256 of its bytes, read in place."""
+        return hashlib.sha256(memoryview(self.amplitudes)).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -112,14 +126,25 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def _index(q, error: type[Exception]) -> int:
-    """Qubit index ``q`` as an int; a bool or non-integer (2.0 too) raises ``error``."""
+def _index(q, error: type[Exception], what: str = "qubit index") -> int:
+    """``q`` as an int; a bool or non-integer (2.0 too) raises ``error``
+    naming it as ``what``."""
     if not isinstance(q, bool):  # numpy's bool_ fails operator.index
         try:
             return operator.index(q)
         except TypeError:
             pass
-    raise error(f"qubit index must be an integer, got {q!r}")
+    raise error(f"{what} must be an integer, got {q!r}")
+
+
+def _qubits(n, name: str = "n") -> int:
+    """A qubit count as an int in 1..MAX_QUBITS, for the argument ``name``."""
+    n = _index(n, TypeError, name)
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+    if n > MAX_QUBITS:
+        raise TooLargeError(f"{name}={n} exceeds the maximum of {MAX_QUBITS}")
+    return n
 
 
 def _failing(bad: np.ndarray, core: int = 0, first: int | None = 0,
@@ -207,22 +232,34 @@ def new_state(n: int, amps: Iterable[complex], *, normalize: bool = False) -> Pu
     If the squared norm deviates from 1 by more than 1e-10 the vector is
     rescaled only when ``normalize=True``; otherwise the call is rejected.
     The norm is taken after an exact power-of-two scaling, so any finite
-    vector with a nonzero amplitude rescales, however large or small.
+    vector with a nonzero amplitude rescales, however large or small. The
+    caller's amplitudes are copied once, and the state holds that copy.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > MAX_QUBITS:
-        raise TooLargeError(f"n={n} exceeds the maximum of {MAX_QUBITS}")
-    vec = np.ascontiguousarray(list(amps) if not isinstance(amps, np.ndarray) else amps,
-                               dtype=np.complex128)
+    n = _qubits(n)
+    vec = np.array(amps if isinstance(amps, np.ndarray) else list(amps),
+                   dtype=np.complex128, order="C")
+    return _new_state(n, vec, normalize)
+
+
+def _new_state(n: int, vec: np.ndarray, normalize: bool) -> PureState:
+    """``new_state`` of a complex128 vector that it may scale in place and
+    then hand to the state: no copy of it is made, nor any other array of its
+    size unless the largest part is 1 or more in modulus."""
     if vec.ndim != 1 or vec.size != 1 << n:
         raise LengthMismatchError(
             f"expected {1 << n} amplitudes for n={n}, got {vec.size}"
         )
     parts = vec.view(np.float64)  # real and imaginary parts
-    exp = int(np.frexp(np.max(np.abs(parts)))[1])  # the largest part scales into [0.5, 1)
-    scaled = np.ldexp(parts, -exp).view(np.complex128)
-    scaled_norm = float(np.linalg.norm(scaled))
+    # The largest part scales into [0.5, 1). Scaling up is exact and is undone
+    # exactly below, so it runs in place; scaling down can round subnormal
+    # parts, so it scales a copy.
+    exp = int(np.frexp(np.maximum(parts.max(), -parts.min()))[1])
+    scaled = parts
+    if exp > 0:
+        scaled = np.ldexp(parts, -exp)
+    elif exp < 0:
+        np.ldexp(parts, -exp, out=parts)
+    scaled_norm = float(np.linalg.norm(scaled.view(np.complex128)))
     if not math.isfinite(scaled_norm):
         raise NonFiniteError(f"amplitudes must be finite; norm is {scaled_norm!r}")
     if scaled_norm == 0.0:
@@ -233,14 +270,16 @@ def new_state(n: int, amps: Iterable[complex], *, normalize: bool = False) -> Pu
         if not normalize:
             raise UnnormalizedError(f"norm is {norm!r}, squared {norm * norm!r}; "
                                     f"pass normalize=True to rescale")
-        vec = scaled / scaled_norm
-    return PureState(n, vec)
+        vec = scaled.view(np.complex128)
+        vec /= scaled_norm
+    elif exp < 0:
+        np.ldexp(parts, exp, out=parts)
+    return PureState._own(n, vec)
 
 
 def conjugate(state: PureState) -> PureState:
     """Entrywise complex conjugate of the state (an involution)."""
-    return PureState(state.n_qubits, state.amplitudes.conj(),
-                     is_normalized=state.is_normalized)
+    return PureState._own(state.n_qubits, state.amplitudes.conj(), state.is_normalized)
 
 
 # rho = (Re Re^T + Im Im^T) + i (Im Re^T - Re Im^T), indexed [part, part].

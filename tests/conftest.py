@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,23 @@ def count_calls(monkeypatch, targets) -> list[str]:
 
         monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def peak_states(n: int, fn, *args):
+    """Call ``fn(*args)`` once to fill caches and load modules, then again
+    under tracemalloc. Returns that result and the peak memory allocated
+    during the call, in units of one n-qubit state (16 * 2**n bytes); the
+    result itself counts, so a call that makes only its output reads 1."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, (peak - before) / (16 << n)
 
 
 @pytest.fixture

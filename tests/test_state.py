@@ -401,3 +401,60 @@ def test_nan_density_matrix_fails_before_the_psd_check(side, psd_calls):
                                          r"Hermitian within tolerance$"):
         _s._check_density(stack, 10, ROWS)
     assert psd_calls == {"cholesky": 0, "eigvalsh": 0}
+
+
+# ---------------------------------------------------------------- counts
+
+_GHZ3 = np.array([S2, 0, 0, 0, 0, 0, 0, S2])
+
+_NOT_INTEGERS = {
+    "random_state n=True": (lambda: random_state(True, 1), "n"),
+    "random_state n=3.0": (lambda: random_state(3.0, 1), "n"),
+    "random_state n=np.True_": (lambda: random_state(np.True_, 1), "n"),
+    "random_state seed=1.5": (lambda: random_state(3, 1.5), "seed"),
+    "random_state seed=True": (lambda: random_state(3, True), "seed"),
+    "PureState n_qubits=3.0": (lambda: PureState(3.0, _GHZ3), "n_qubits"),
+    "PureState n_qubits=True": (lambda: PureState(True, [1, 0]), "n_qubits"),
+    "new_state n=3.0": (lambda: new_state(3.0, _GHZ3), "n"),
+    "new_state n=True": (lambda: new_state(True, [1, 0]), "n"),
+    "random_lu n=True": (lambda: qinv.random_lu(True, 3), "n"),
+    "random_lu seed=3.0": (lambda: qinv.random_lu(2, 3.0), "seed"),
+    "random_sl n=2.0": (lambda: qinv.random_sl(2.0, 3), "n"),
+    "random_sl seed=False": (lambda: qinv.random_sl(2, False), "seed"),
+    "invariant_count n=True": (lambda: qinv.invariant_count(True), "n"),
+    "invariant_count n=3.0": (lambda: qinv.invariant_count(3.0), "n"),
+    "verify samples=True": (lambda: qinv.verify_invariance(
+        new_state(3, _GHZ3), "I_1", "LU", True, 1e-9, 1), "samples"),
+    "verify samples=2.5": (lambda: qinv.verify_invariance(
+        new_state(3, _GHZ3), "I_1", "LU", 2.5, 1e-9, 1), "samples"),
+    "verify samples=np.True_": (lambda: qinv.verify_invariance(
+        new_state(3, _GHZ3), "C", "SL", np.True_, 1e-7, 1), "samples"),
+}
+
+
+@pytest.mark.parametrize("label", list(_NOT_INTEGERS))
+def test_counts_must_be_integers(label):
+    call, name = _NOT_INTEGERS[label]
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: random_state(0, 1), lambda: PureState(0, [1]), lambda: new_state(-1, [1]),
+    lambda: qinv.random_lu(0, 1), lambda: qinv.random_sl(0, 1),
+    lambda: qinv.verify_invariance(new_state(3, _GHZ3), "I_1", "LU", 0, 1e-9, 1),
+], ids=["random_state", "PureState", "new_state", "random_lu", "random_sl", "verify"])
+def test_counts_out_of_range_keep_their_value_error(call):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        call()
+
+
+def test_numpy_integer_counts_are_stored_as_ints():
+    assert type(PureState(np.int64(1), np.array([1, 0])).n_qubits) is int
+    s = random_state(np.uint8(3), np.int32(4))
+    assert type(s.n_qubits) is int
+    assert s.amplitudes.tobytes() == random_state(3, 4).amplitudes.tobytes()
+    ghz = new_state(np.int16(3), _GHZ3)
+    report = qinv.verify_invariance(ghz, "I_1", "LU", np.int64(5), 1e-9, np.uint32(2))
+    assert type(report.samples) is int and type(report.seed) is int
+    assert report == qinv.verify_invariance(ghz, "I_1", "LU", 5, 1e-9, 2)
