@@ -34,7 +34,7 @@ from .errors import (
     UnnormalizedInputError,
 )
 from .invariants import InvariantReport
-from .state import MAX_QUBITS, PureState, _new_state
+from .state import MAX_QUBITS, PureState, _count, _new_state
 
 DEFAULT_LU_TOL = 1e-9
 DEFAULT_SL_TOL = 1e-7
@@ -107,11 +107,10 @@ def load_state(path: str, normalize: bool = False) -> PureState:
         raise StateFileError(f"{path}: top level must be a JSON object")
     if "n_qubits" not in data:
         raise StateFileError(f"{path}: missing required field 'n_qubits'")
-    n = data["n_qubits"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise StateFileError(f"{path}: 'n_qubits' must be a positive integer, got {n!r}")
-    if n > MAX_QUBITS:
-        raise StateFileError(f"{path}: n_qubits={n} exceeds the maximum of {MAX_QUBITS}")
+    try:
+        n = _count(data["n_qubits"], "n_qubits", high=MAX_QUBITS)
+    except (TypeError, ValueError) as exc:
+        raise StateFileError(f"{path}: {exc}") from exc
     if "amplitudes" not in data:
         raise StateFileError(f"{path}: missing required field 'amplitudes'")
     raw = data["amplitudes"]

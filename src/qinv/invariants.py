@@ -15,7 +15,6 @@ from . import pauli as _p
 from . import state as _s
 from .errors import (
     EvenQubitCountError,
-    IndexOutOfRangeError,
     InternalDisagreementError,
     OddQubitCountError,
     SameIndexError,
@@ -59,13 +58,6 @@ def _check_three(state: PureState, what: str) -> None:
         raise WrongQubitCountError(f"{what} is defined for 3 qubits, got {state.n_qubits}")
 
 
-def _check_qubit(state: PureState, i: int) -> int:
-    i = _s._index(i, IndexOutOfRangeError)
-    if not 1 <= i <= state.n_qubits:
-        raise IndexOutOfRangeError(f"qubit {i} out of range 1..{state.n_qubits}")
-    return i
-
-
 def _one_point(amps: np.ndarray, n: int, i: int) -> np.ndarray:
     """<sigma_{i,a}> for a in (x, y, z) per vector of ``amps`` (..., 2**n):
     shape (..., 3). One strided contraction of the (..., L, 2, R) view with
@@ -96,7 +88,7 @@ def _two_point(amps: np.ndarray, n: int, i: int, j: int) -> np.ndarray:
 def single_qubit_invariant(state: PureState, i: int) -> float:
     """1 - <X_i>^2 - <Y_i>^2 - <Z_i>^2 (equals 4 det of the one-qubit reduction)."""
     _check_normalized(state)
-    i = _check_qubit(state, i)
+    i = _s._qubit(i, state.n_qubits)
     return float(1.0 - np.sum(_one_point(state.amplitudes, state.n_qubits, i) ** 2))
 
 
@@ -107,7 +99,7 @@ def single_qubit_invariant_dm(state: PureState, i: int) -> float:
     and insists all three agree to 1e-10 before returning the first.
     """
     _check_normalized(state)
-    i = _check_qubit(state, i)
+    i = _s._qubit(i, state.n_qubits)
     rho = partial_trace(state, {i})
     via_purity = 2.0 * (1.0 - purity(rho))
     via_det = 4.0 * float(np.linalg.det(rho.matrix).real)
@@ -130,8 +122,7 @@ def pair_invariant(state: PureState, i: int, j: int) -> float:
     numbers off rho_ij instead, and ``verify`` compares the two routes.
     """
     _check_normalized(state)
-    i = _check_qubit(state, i)
-    j = _check_qubit(state, j)
+    i, j = _s._qubit(i, state.n_qubits), _s._qubit(j, state.n_qubits)
     if i == j:
         raise SameIndexError(f"pair invariant needs two distinct qubits, got {i}")
     return float(1.0 - np.sum(_two_point(state.amplitudes, state.n_qubits, i, j) ** 2))
@@ -199,8 +190,7 @@ def _odd_tangle(amps: np.ndarray, n: int) -> np.ndarray:
 def triple_correlation_sum(state: PureState, i: int, j: int) -> float:
     """Nine-term sum <s_ia><s_jb><s_ia s_jb> over a, b in (x, y, z)."""
     _check_normalized(state)
-    i = _check_qubit(state, i)
-    j = _check_qubit(state, j)
+    i, j = _s._qubit(i, state.n_qubits), _s._qubit(j, state.n_qubits)
     if i == j:
         raise SameIndexError(f"need two distinct qubits, got {i}")
     return float(_triple_correlation(state.amplitudes, state.n_qubits, i, j))
@@ -287,9 +277,7 @@ def _tangle(amps: np.ndarray) -> np.ndarray:
 
 def invariant_count(n: int) -> int:
     """Number of independent invariant parameters of an n-qubit pure state."""
-    n = _s._index(n, TypeError, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _s._count(n, "n")
     return 2 ** (n + 1) - (3 * n + 1)
 
 

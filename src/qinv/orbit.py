@@ -183,8 +183,8 @@ def random_state(n: int, seed: int) -> PureState:
     The real parts are drawn first, then the imaginary parts, each straight
     into the state's one array, which the state then holds.
     """
-    n = _s._qubits(n)
-    rng = np.random.default_rng(_s._index(seed, TypeError, "seed"))
+    n = _s._count(n, "n", high=_s.MAX_QUBITS)
+    rng = np.random.default_rng(_s._count(seed, "seed", 0))
     vec = np.empty(1 << n, dtype=np.complex128)
     vec.real = rng.standard_normal(1 << n)
     vec.imag = rng.standard_normal(1 << n)
@@ -240,10 +240,8 @@ def random_lu(n: int, seed: int, global_phase: bool = False) -> LocalOperator:
     Each factor has determinant one; ``global_phase`` multiplies every factor
     by an independent uniform phase (making the determinant a phase too).
     """
-    n = _s._index(n, TypeError, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(_s._index(seed, TypeError, "seed"))
+    n = _s._count(n, "n")
+    rng = np.random.default_rng(_s._count(seed, "seed", 0))
     return LocalOperator(tuple(_draw_lu([rng], n, global_phase)[0]), LU_KIND)
 
 
@@ -294,14 +292,10 @@ def random_sl(n: int, seed: int, spread: float = _SL_SPREAD) -> LocalOperator:
     numerically, and reject on the condition number. Each attempt draws every
     still-pending qubit at once; only rejected qubits are drawn again.
     """
-    n = _s._index(n, TypeError, "n")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if spread <= 0:
-        raise ValueError(f"spread must be > 0, got {spread}")
-    rng = np.random.default_rng(_s._index(seed, TypeError, "seed"))
-    ops = _draw_sl([rng], n, spread)[0]
-    return LocalOperator(tuple(ops), SL_KIND)
+    n = _s._count(n, "n")
+    spread = _s._positive(spread, "spread")
+    rng = np.random.default_rng(_s._count(seed, "seed", 0))
+    return LocalOperator(tuple(_draw_sl([rng], n, spread)[0]), SL_KIND)
 
 
 def _images(amps: np.ndarray, n: int, ops: np.ndarray, kind: str,
@@ -491,11 +485,11 @@ def verify_invariance(state: PureState, invariant: str, group: str,
     the images' values from its batched evaluator: two routes for I_{i} and
     I_{ij} (a strided contraction against reduced density matrices) and for C
     and Z (the operator kernel against one spin-flip contraction), so their
-    disagreement shows as a deviation. ``tol`` must be finite and > 0,
-    ``seed`` a non-negative integer. Sample k's operator, whatever the row, is
-    ``random_lu`` (without phases) or ``random_sl`` at the sub-seed
-    ``SeedSequence((seed, k)).generate_state(1)[0]``; ``worst_sample`` names
-    the k to replay.
+    disagreement shows as a deviation. ``tol`` must be a finite real > 0,
+    ``samples`` a positive and ``seed`` a non-negative integer. Sample k's
+    operator, whatever the row, is ``random_lu`` (without phases) or
+    ``random_sl`` at the sub-seed ``SeedSequence((seed, k)).generate_state(1)[0]``;
+    ``worst_sample`` names the k to replay.
     """
     return _campaign(state, [invariant], group, samples, tol, seed)[0]
 
@@ -505,15 +499,10 @@ def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
     """``verify_invariance`` of each of ``names``, from one campaign: one draw
     of operators per seed block, and per chunk one validated stack of them
     and one ``_evaluate`` call for every row."""
-    seed = _s._index(seed, TypeError, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _s._count(seed, "seed", 0)
     group = _group(group)
-    samples = _s._index(samples, TypeError, "samples")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    samples = _s._count(samples, "samples")
+    tol = _s._positive(tol, "tol")
     if group == LU_KIND and not state.is_normalized:  # apply_local's check, on the input
         nsq = float(_s._vdots(state.amplitudes, state.amplitudes).real)
         if not abs(nsq - 1.0) <= _s.NORM_SQ_TOL:
@@ -539,10 +528,10 @@ def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
     max_rel = dict.fromkeys(names, 0.0)
     verdict_max = max_rel if group == SL_KIND else max_abs
     worst = dict.fromkeys(names, 0)  # sample of verdict_max
+    # Both are powers of two and per_chunk <= _SEED_BLOCK: a block holds whole chunks.
     per_chunk = max(1, _CHUNK_AMPLITUDES >> n)
-    block = max(per_chunk, _SEED_BLOCK)  # both powers of two: whole chunks
-    for at in range(0, samples, block):
-        words = _seed_words(seed, at, min(samples, at + block))
+    for at in range(0, samples, _SEED_BLOCK):
+        words = _seed_words(seed, at, min(samples, at + _SEED_BLOCK))
         drawn = (_lu_from_words(words, n) if group == LU_KIND
                  else _draw_sl(_generators(words), n, _SL_SPREAD, at))
         for start in range(at, at + len(drawn), per_chunk):

@@ -16,12 +16,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    IndexOutOfRangeError,
     InternalDisagreementError,
     LengthMismatchError,
     NotUnitaryError,
 )
-from .state import NORM_SQ_TOL, PureState, _index, _real, _vdots
+from .state import NORM_SQ_TOL, PureState, _qubit, _real, _vdots
 
 PAULI_I = np.array([[1, 0], [0, 1]], dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -74,6 +73,13 @@ def _as_2x2(op: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("operator has non-finite entries")
     return m
+
+
+def _factors(ops: Sequence[np.ndarray], n: int) -> list[np.ndarray]:
+    """One checked 2x2 matrix per qubit of an n-qubit state."""
+    if len(ops) != n:
+        raise LengthMismatchError(f"expected {n} operators, got {len(ops)}")
+    return [_as_2x2(op) for op in ops]
 
 
 def _apply_2x2(amps: np.ndarray, n: int, qubit: int, op: np.ndarray) -> np.ndarray:
@@ -215,9 +221,7 @@ def apply_single_qubit(state: PureState, qubit: int, op: np.ndarray) -> PureStat
     at n = 3-7 (2-vCPU Xeon VM).
     """
     n = state.n_qubits
-    qubit = _index(qubit, IndexOutOfRangeError)
-    if not 1 <= qubit <= n:
-        raise IndexOutOfRangeError(f"qubit {qubit} out of range 1..{n}")
+    qubit = _qubit(qubit, n)
     op = _as_2x2(op)
     if qubit >= _KRON_FROM and n - _KRON_QUBITS < qubit < n:
         right = 1 << (n - qubit)
@@ -228,9 +232,7 @@ def apply_single_qubit(state: PureState, qubit: int, op: np.ndarray) -> PureStat
 def apply_string(state: PureState, ops: Sequence[np.ndarray]) -> PureState:
     """Apply one 2x2 operator per qubit (order immaterial: disjoint qubits)."""
     n = state.n_qubits
-    if len(ops) != n:
-        raise LengthMismatchError(f"expected {n} operators, got {len(ops)}")
-    return _wrap(n, _apply_factors(state.amplitudes, n, [_as_2x2(op) for op in ops]))
+    return _wrap(n, _apply_factors(state.amplitudes, n, _factors(ops, n)))
 
 
 def expectation(state: PureState, pauli: PauliString | str) -> float:
@@ -259,9 +261,7 @@ def bilinear(state: PureState, ops: Sequence[np.ndarray]) -> complex:
     the value is symmetric under transposing M and is complex in general.
     """
     n = state.n_qubits
-    if len(ops) != n:
-        raise LengthMismatchError(f"expected {n} operators, got {len(ops)}")
-    return complex(_bilinears(state.amplitudes, n, [_as_2x2(op) for op in ops]))
+    return complex(_bilinears(state.amplitudes, n, _factors(ops, n)))
 
 
 def adjoint_rotation(u: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import functools
 import hashlib
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -20,6 +21,7 @@ from .errors import (
     BadSubsetError,
     DimensionMismatchError,
     HermitianViolationError,
+    IndexOutOfRangeError,
     LengthMismatchError,
     NonFiniteError,
     TooLargeError,
@@ -55,7 +57,7 @@ class PureState:
     is_normalized: bool = True
 
     def __post_init__(self) -> None:
-        n = _qubits(self.n_qubits, "n_qubits")
+        n = _count(self.n_qubits, "n_qubits", high=MAX_QUBITS)
         self._hold(n, np.array(self.amplitudes, dtype=np.complex128), None)
 
     @classmethod
@@ -137,14 +139,37 @@ def _index(q, error: type[Exception], what: str = "qubit index") -> int:
     raise error(f"{what} must be an integer, got {q!r}")
 
 
-def _qubits(n, name: str = "n") -> int:
-    """A qubit count as an int in 1..MAX_QUBITS, for the argument ``name``."""
-    n = _index(n, TypeError, name)
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {n}")
-    if n > MAX_QUBITS:
-        raise TooLargeError(f"{name}={n} exceeds the maximum of {MAX_QUBITS}")
-    return n
+def _count(value, name: str, low: int = 1, high: int | None = None) -> int:
+    """The argument ``name`` as an int in low..high (no cap if ``high`` is
+    None), else TypeError, ValueError below ``low`` or TooLargeError above."""
+    v = _index(value, TypeError, name)
+    if v < low:
+        raise ValueError(f"{name} must be >= {low}, got {v}")
+    if high is not None and v > high:
+        raise TooLargeError(f"{name}={v} exceeds the maximum of {high}")
+    return v
+
+
+def _qubit(q, n: int) -> int:
+    """A qubit index of an n-qubit state as an int in 1..n, else IndexOutOfRangeError."""
+    q = _index(q, IndexOutOfRangeError)
+    if not 1 <= q <= n:
+        raise IndexOutOfRangeError(f"qubit {q} out of range 1..{n}")
+    return q
+
+
+def _positive(x, name: str) -> float:
+    """The argument ``name`` as a finite float > 0: TypeError for a bool or a
+    non-real, ValueError for NaN, 0, negatives and values beyond float range."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {x!r}")
+    try:
+        v = float(x)
+    except OverflowError:  # an int beyond float range
+        v = math.inf
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {x!r}")
+    return v
 
 
 def _failing(bad: np.ndarray, core: int = 0, first: int | None = 0,
@@ -235,7 +260,7 @@ def new_state(n: int, amps: Iterable[complex], *, normalize: bool = False) -> Pu
     vector with a nonzero amplitude rescales, however large or small. The
     caller's amplitudes are copied once, and the state holds that copy.
     """
-    n = _qubits(n)
+    n = _count(n, "n", high=MAX_QUBITS)
     vec = np.array(amps if isinstance(amps, np.ndarray) else list(amps),
                    dtype=np.complex128, order="C")
     return _new_state(n, vec, normalize)
@@ -429,10 +454,8 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def trace_power(rho: DensityMatrix, k: int) -> float:
-    """tr(rho^k) as a real number, k >= 1."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return float(_trace_power(rho.matrix, k))
+    """tr(rho^k) as a real number, k >= 1 an integer."""
+    return float(_trace_power(rho.matrix, _count(k, "k")))
 
 
 def cross_term(rho_a: DensityMatrix, rho_b: DensityMatrix,

@@ -114,6 +114,20 @@ def test_load_state_names_the_first_entry_that_is_not_a_number_pair(tmp_path, it
                                f"got {json.loads(item)!r}")
 
 
+@pytest.mark.parametrize("bad, text", [
+    ("2.5", "n_qubits must be an integer, got 2.5"),
+    ("true", "n_qubits must be an integer, got True"),
+    ('"3"', "n_qubits must be an integer, got '3'"), ("0", "n_qubits must be >= 1, got 0"),
+])
+def test_load_state_n_qubits_must_be_a_positive_integer(tmp_path, capsys, bad, text):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"n_qubits": {bad}, "amplitudes": [[1, 0], [0, 0]]}}')
+    assert main(["compute", "-s", str(path)]) == 2
+    assert capsys.readouterr().err == f"{path}: {text}\n"
+    with pytest.raises(StateFileError, match="n_qubits"):
+        load_state(str(path))
+
+
 def test_load_state_cap_is_max_qubits(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(f'{{"n_qubits": {MAX_QUBITS + 1}, "amplitudes": []}}')

@@ -85,6 +85,18 @@ def test_qubit_indices_must_be_integers(ghz3, bad):
     assert pair_invariant(s, np.int32(1), np.uint8(3)) == pair_invariant(s, 1, 3)
 
 
+@pytest.mark.parametrize("bad", [0, 4, -1, 2**70, 2.0, True, np.True_, "2"], ids=repr)
+def test_a_bad_qubit_index_fails_alike_for_kernels_and_invariants(ghz3, bad):
+    # Pins unchanged behaviour: one error type and message for every qubit index.
+    errors = []
+    for call in (lambda: _p.apply_single_qubit(ghz3, bad, _p.PAULI_X),
+                 lambda: single_qubit_invariant(ghz3, bad)):
+        with pytest.raises(IndexOutOfRangeError) as info:
+            call()
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
 def test_single_invariant_bounds():
     for seed in range(20):
         s = random_state(3, seed)

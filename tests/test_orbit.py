@@ -909,6 +909,46 @@ def test_campaign_accepts_integer_seeds_of_any_type(ghz3, group, seed, same):
     assert replace(report, seed=same) == verify_invariance(ghz3, "Z", group, 5, 1e-7, same)
 
 
+_NOT_POSITIVE_REALS = [
+    (True, TypeError, "a real number"), (np.True_, TypeError, "a real number"),
+    ("1e-9", TypeError, "a real number"), (1e-9 + 0j, TypeError, "a real number"),
+    (np.complex128(1e-9), TypeError, "a real number"),
+    (np.nan, ValueError, "finite and > 0"), (np.float64(np.nan), ValueError, "finite and > 0"),
+    (np.inf, ValueError, "finite and > 0"), (-np.inf, ValueError, "finite and > 0"),
+    (0, ValueError, "finite and > 0"), (0.0, ValueError, "finite and > 0"),
+    (-1, ValueError, "finite and > 0"), (10**400, ValueError, "finite and > 0"),
+]
+
+
+@pytest.mark.parametrize("group", ["LU", "SL"])
+@pytest.mark.parametrize("tol, error, text", _NOT_POSITIVE_REALS, ids=repr)
+def test_campaign_tol_must_be_a_finite_positive_real(monkeypatch, ghz3, group, tol,
+                                                     error, text):
+    def no_work(n):
+        raise AssertionError("the campaign started before checking its tol")
+
+    monkeypatch.setattr(_inv, "invariant_table", no_work)
+    with pytest.raises(error, match=f"^tol must be {text}, got "):
+        verify_invariance(ghz3, "Z", group, 5, tol, 0)
+
+
+@pytest.mark.parametrize("spread, error, text", _NOT_POSITIVE_REALS, ids=repr)
+def test_random_sl_spread_must_be_a_finite_positive_real(monkeypatch, spread, error, text):
+    def no_draw(*args):
+        raise AssertionError("random_sl drew before checking its spread")
+
+    monkeypatch.setattr(_orbit, "_draw_sl", no_draw)
+    with pytest.raises(error, match=f"^spread must be {text}, got "):
+        random_sl(1, 0, spread=spread)
+
+
+@pytest.mark.parametrize("tol", [1, np.float32(0.5), np.float64(1e-7), np.int64(1)], ids=repr)
+def test_campaign_stores_tol_as_a_float(ghz3, tol):
+    report = verify_invariance(ghz3, "Z", "SL", 5, tol, 0)
+    assert type(report.tol) is float and report.tol == float(tol)
+    assert report == verify_invariance(ghz3, "Z", "SL", 5, float(tol), 0)
+
+
 # ---------------------------------------------------------------- worst sample
 
 def _plant(monkeypatch, state, name, planted):

@@ -406,6 +406,7 @@ def test_nan_density_matrix_fails_before_the_psd_check(side, psd_calls):
 # ---------------------------------------------------------------- counts
 
 _GHZ3 = np.array([S2, 0, 0, 0, 0, 0, 0, S2])
+_MIXED = DensityMatrix((1,), np.eye(2) / 2)
 
 _NOT_INTEGERS = {
     "random_state n=True": (lambda: random_state(True, 1), "n"),
@@ -429,6 +430,9 @@ _NOT_INTEGERS = {
         new_state(3, _GHZ3), "I_1", "LU", 2.5, 1e-9, 1), "samples"),
     "verify samples=np.True_": (lambda: qinv.verify_invariance(
         new_state(3, _GHZ3), "C", "SL", np.True_, 1e-7, 1), "samples"),
+    "trace_power k=True": (lambda: trace_power(_MIXED, True), "k"),
+    "trace_power k=2.0": (lambda: trace_power(_MIXED, 2.0), "k"),
+    "trace_power k=np.True_": (lambda: trace_power(_MIXED, np.True_), "k"),
 }
 
 
@@ -443,10 +447,18 @@ def test_counts_must_be_integers(label):
     lambda: random_state(0, 1), lambda: PureState(0, [1]), lambda: new_state(-1, [1]),
     lambda: qinv.random_lu(0, 1), lambda: qinv.random_sl(0, 1),
     lambda: qinv.verify_invariance(new_state(3, _GHZ3), "I_1", "LU", 0, 1e-9, 1),
-], ids=["random_state", "PureState", "new_state", "random_lu", "random_sl", "verify"])
+    lambda: trace_power(_MIXED, 0), lambda: qinv.invariant_count(0),
+], ids=["random_state", "PureState", "new_state", "random_lu", "random_sl", "verify",
+        "trace_power", "invariant_count"])
 def test_counts_out_of_range_keep_their_value_error(call):
     with pytest.raises(ValueError, match="must be >= 1"):
         call()
+
+
+@pytest.mark.parametrize("draw", [random_state, qinv.random_lu, qinv.random_sl])
+def test_negative_seeds_are_refused_by_qinv(draw):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        draw(2, -1)
 
 
 def test_numpy_integer_counts_are_stored_as_ints():
