@@ -7,15 +7,15 @@ most significant bit. Numbers are written with 17 significant digits so a
 write -> read -> write round trip is byte-stable.
 
 Exit codes: 0 success / indistinguishable; 1 invariance failure or
-distinguished; 2 unreadable or schema-invalid input; 3 unnormalized state
-without --normalize; 4 qubit-count mismatch (compare); 5 unwritable output.
+distinguished; 2 unreadable or schema-invalid input, or a refused argument
+or QINV_SEED; 3 unnormalized state without --normalize; 4 qubit-count
+mismatch (compare); 5 unwritable output.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -29,12 +29,11 @@ from . import orbit as _orbit
 from .errors import (
     QinvError,
     StateFileError,
-    TooLargeError,
     UnnormalizedError,
     UnnormalizedInputError,
 )
 from .invariants import InvariantReport
-from .state import MAX_QUBITS, PureState, _count, _new_state
+from .state import MAX_QUBITS, PureState, _count, _new_state, _positive
 
 DEFAULT_LU_TOL = 1e-9
 DEFAULT_SL_TOL = 1e-7
@@ -176,35 +175,30 @@ def print_report_text(report: InvariantReport) -> None:
         print(f"{name:<12} {entry.kind:<8} {_entry_text(entry)}")
 
 
-def _at_least(low: int):
-    """argparse ``type=``: an integer no smaller than ``low``."""
-    def parse(text: str) -> int:
+def _arg(convert, what: str, check):
+    """argparse ``type=``: ``check(convert(text))``. Text that ``convert``
+    cannot read is "not ``what``"; a value that ``check`` refuses is reported
+    in the library's own words."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}") from None
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
 
 
-_seed = _at_least(0)
-
-
-def _tolerance(text: str) -> float:
-    """argparse ``type=``: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return value
+_samples = _arg(int, "an integer", lambda v: _count(v, "samples"))
+_seed = _arg(int, "an integer", lambda v: _count(v, "seed", 0))
+_qubit_count = _arg(int, "an integer", lambda v: _count(v, "n", high=MAX_QUBITS))
+_tol = _arg(float, "a number", lambda v: _positive(v, "tol"))
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
@@ -292,14 +286,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_random(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    try:
-        state = _orbit.random_state(args.n, seed)
-    except TooLargeError as exc:
-        print(f"TooLarge: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    state = _orbit.random_state(args.n, seed)
     if args.out is None:
         sys.stdout.writelines(_state_text(state))
         return 0
@@ -332,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify invariance on random orbits")
     add_state_arg(p_verify)
     p_verify.add_argument("--group", choices=("lu", "sl"), default="lu")
-    p_verify.add_argument("--samples", type=_at_least(1), default=100)
-    p_verify.add_argument("--tol", type=_tolerance, default=None,
+    p_verify.add_argument("--samples", type=_samples, default=100)
+    p_verify.add_argument("--tol", type=_tol, default=None,
                           help="pass tolerance (default 1e-9 for lu, 1e-7 for sl); "
                                "write a value that starts with '-' as --tol=VALUE")
     p_verify.add_argument("--seed", type=_seed, default=None,
@@ -345,12 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="compare the invariant fingerprints of two states")
     p_compare.add_argument("path_a")
     p_compare.add_argument("path_b")
-    p_compare.add_argument("--tol", type=_tolerance, default=DEFAULT_COMPARE_TOL)
+    p_compare.add_argument("--tol", type=_tol, default=DEFAULT_COMPARE_TOL)
     p_compare.add_argument("--normalize", action="store_true")
     p_compare.set_defaults(func=cmd_compare)
 
     p_random = sub.add_parser("random", help="write a reproducible random state file")
-    p_random.add_argument("n", type=int, help="number of qubits (1..24)")
+    p_random.add_argument("n", type=_qubit_count, help="number of qubits (1..24)")
     p_random.add_argument("--seed", type=_seed, default=None,
                           help=f"sampling seed (default ${SEED_ENV_VAR} or 0)")
     p_random.add_argument("--out", "-o", default=None,

@@ -124,7 +124,7 @@ def pair_invariant(state: PureState, i: int, j: int) -> float:
     _check_normalized(state)
     i, j = _s._qubit(i, state.n_qubits), _s._qubit(j, state.n_qubits)
     if i == j:
-        raise SameIndexError(f"pair invariant needs two distinct qubits, got {i}")
+        raise SameIndexError(f"need two distinct qubits, got {i}")
     return float(1.0 - np.sum(_two_point(state.amplitudes, state.n_qubits, i, j) ** 2))
 
 

@@ -1,4 +1,7 @@
+import functools
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +17,9 @@ from qinv import (
 )
 from qinv import cli as _cli
 from qinv.cli import dumps_state, load_state, main, write_state
-from qinv.state import MAX_QUBITS
+from qinv.state import MAX_QUBITS, _count, _positive
+
+from conftest import subprocess_env
 
 S2 = 1.0 / np.sqrt(2.0)
 GHZ_AMPS = [S2, 0, 0, 0, 0, 0, 0, S2]
@@ -61,8 +66,10 @@ def test_random_same_seed_byte_identical(tmp_path):
 
 
 def test_random_too_large(capsys):
-    assert main(["random", "25", "--out", "ignored.json"]) == 2
-    assert "TooLarge" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["random", "25", "--out", "ignored.json"])
+    assert exc.value.code == 2
+    assert "n=25 exceeds the maximum of 24" in capsys.readouterr().err
 
 
 def test_random_unwritable_path(tmp_path):
@@ -360,6 +367,60 @@ def test_negative_env_seed_exits_2(ghz_file, monkeypatch, capsys):
     monkeypatch.setenv("QINV_SEED", "-5")
     assert main(["verify", "-s", ghz_file]) == 2
     assert "QINV_SEED" in capsys.readouterr().err
+
+
+def _library_refusal(check, value) -> str:
+    """The text of the ValueError that the library's ``check`` raises on ``value``."""
+    with pytest.raises(ValueError) as info:
+        check(value)
+    return str(info.value)
+
+
+_samples = functools.partial(_count, name="samples")
+_seed = functools.partial(_count, name="seed", low=0)
+_n = functools.partial(_count, name="n", high=MAX_QUBITS)
+_tol = functools.partial(_positive, name="tol")
+_TOLS = ["nan", "inf", "-inf", "0", "-1e-9", "1e-400"]
+
+
+@pytest.mark.parametrize("argv, env, prefix, check, value", [
+    *[(f"verify -s GHZ --samples {t}", None, "argument --samples: ", _samples, int(t))
+      for t in ("0", "-3")],
+    ("verify -s GHZ --seed -1", None, "argument --seed: ", _seed, -1),
+    ("random 2 --seed -1", None, "argument --seed: ", _seed, -1),
+    *[(f"{cmd} --tol={t}", None, "argument --tol: ", _tol, float(t))
+      for cmd in ("verify -s GHZ", "compare GHZ W") for t in _TOLS],
+    *[(f"random {t}", None, "argument n: ", _n, int(t)) for t in ("0", "25")],
+    ("verify -s GHZ", "-5", "QINV_SEED='-5': ", _seed, -5),
+])
+def test_cli_refusals_use_the_library_wording(ghz_file, w_file, monkeypatch, capsys,
+                                               argv, env, prefix, check, value):
+    if env is None:
+        monkeypatch.delenv("QINV_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QINV_SEED", env)
+    args = [{"GHZ": ghz_file, "W": w_file}.get(a, a) for a in argv.split()]
+    if env is None:
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+    else:
+        assert main(args) == 2
+    assert prefix + _library_refusal(check, value) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, text", [
+    ("verify -s GHZ --samples 0", "argument --samples: samples must be >= 1, got 0"),
+    ("verify -s GHZ --tol=nan", "argument --tol: tol must be finite and > 0, got nan"),
+    ("random 25", "argument n: n=25 exceeds the maximum of 24"),
+])
+def test_cli_refusals_survive_python_O(ghz_file, argv, text):
+    # python -O strips assert statements; each refusal must still exit 2.
+    args = [ghz_file if a == "GHZ" else a for a in argv.split()]
+    out = subprocess.run([sys.executable, "-O", "-m", "qinv", *args], env=subprocess_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2
+    assert text in out.stderr
 
 
 def test_dumps_state_uses_17_significant_digits():

@@ -118,6 +118,15 @@ def test_pair_invariant_same_index(bell):
         pair_invariant(bell, 1, 1)
 
 
+def test_pair_functions_word_the_distinct_qubit_rule_alike(ghz3):
+    messages = set()
+    for f in (pair_invariant, triple_correlation_sum):
+        with pytest.raises(SameIndexError) as info:
+            f(ghz3, 2, 2)
+        messages.add(str(info.value))
+    assert messages == {"need two distinct qubits, got 2"}
+
+
 def test_pair_identity_residual_examples(ghz3):
     assert pair_identity_residual(new_state(2, [1, 0, 0, 0]), 1, 2) == pytest.approx(0.0, abs=1e-12)
     assert pair_identity_residual(ghz3, 1, 2) == pytest.approx(0.0, abs=1e-10)
