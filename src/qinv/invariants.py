@@ -5,9 +5,10 @@ three-tangle polynomial.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Collection, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from . import state as _s
 from .errors import (
     EvenQubitCountError,
     InternalDisagreementError,
+    NonFiniteError,
     OddQubitCountError,
     SameIndexError,
     UnnormalizedError,
@@ -167,15 +169,20 @@ def odd_tangle(state: PureState) -> complex:
     With T on qubits 1..n-1 and w in {sigma_x, sigma_z, identity} on the last
     qubit, returns b_x^2 + b_z^2 - b_1^2. Like ``concurrence`` it is evaluated
     on the raw amplitudes regardless of norm, with the operator kernel, while
-    the report's Z row (``_odd_tangle``) takes one spin-flip contraction.
+    the report's Z row (``_odd_tangle``) takes one spin-flip contraction. A
+    value that overflows float64 raises NonFiniteError.
     """
     n = state.n_qubits
     if n % 2 == 0:
         raise EvenQubitCountError(f"odd_tangle needs an odd qubit count, got {n}")
     base = (SPIN_FLIP,) * (n - 1)
-    b_x, b_z, b_1 = (_p._bilinears(state.amplitudes, n, base + (w,))
-                     for w in (PAULI_X, PAULI_Z, PAULI_I))
-    return complex(b_x**2 + b_z**2 - b_1**2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_x, b_z, b_1 = (_p._bilinears(state.amplitudes, n, base + (w,))
+                         for w in (PAULI_X, PAULI_Z, PAULI_I))
+        value = complex(b_x**2 + b_z**2 - b_1**2)
+    if not cmath.isfinite(value):
+        raise NonFiniteError("odd_tangle overflows float64")
+    return value
 
 
 def _odd_tangle(amps: np.ndarray, n: int) -> np.ndarray:
@@ -217,7 +224,7 @@ def cubic_invariant(state: PureState, method: str = "density") -> float:
         raise ValueError(f"method must be 'density' or 'pauli', got {method!r}")
     _check_normalized(state)
     a = state.amplitudes
-    via_density, via_pauli = _cubic(a, 3, _correlations(a, 3, [(1,), (2,), (1, 2)]), None)
+    via_density, via_pauli = _cubic(a, 3, _correlations(a, 3, [(1,), (2,), (1, 2)]), 0)
     return float(via_density if method == "density" else via_pauli)
 
 
@@ -284,10 +291,9 @@ def invariant_count(n: int) -> int:
 # Batched evaluators: one value per vector of ``amps`` (..., 2**n), one vector
 # for the report and a stack of images (samples, 2**n) for a campaign. Each
 # runs the checks of its per-operation counterpart on every vector. ``first``
-# numbers a campaign stack's first sample, which a failed check names; it is
-# None for one vector.
+# numbers a stack's first sample, which a failed check names.
 
-def _agree(what: str, first: int | None, tol: float, **routes: np.ndarray) -> None:
+def _agree(what: str, first: int, tol: float, **routes: np.ndarray) -> None:
     """Raise InternalDisagreementError where two routes differ by more than ``tol``."""
     (name_a, a), (name_b, b) = routes.items()
     bad = ~(np.abs(a - b) <= tol)
@@ -316,40 +322,36 @@ class _Checked(NamedTuple):
 
 
 def _correlations(amps: np.ndarray, n: int, keeps: Sequence[tuple[int, ...]],
-                  rows: Collection[str] = (), first: int | None = None) -> _Checked:
+                  first: int = 0) -> _Checked:
     """Reduced density matrices of ``amps`` over each keep-set of one or two
-    qubits in ``keeps``, and Pauli correlators, <sigma_{i,a} sigma_{j,b}> at
-    3a + b, stacked in the order of ``keeps``, of those whose own I_{i} or
-    I_{ij} row is named in ``rows``, with that row's value. One
-    ``state._reductions`` call makes them all, so from n = 12 on singles and
-    pairs share unions of qubit blocks. The DensityMatrix checks and the
-    1e-10 imaginary-residue check run once per keep-set size on a stack; a
-    failed check names the keep-set's row.
+    qubits in ``keeps``, their Pauli correlators, <sigma_{i,a} sigma_{j,b}>
+    at 3a + b, stacked by keep-set size in the order of ``keeps``, and each
+    keep-set's I_{i} or I_{ij} value. One ``state._reductions`` call makes
+    the rhos, so from n = 12 on singles and pairs share unions of qubit
+    blocks. The DensityMatrix checks and the 1e-10 imaginary-residue check
+    run once per keep-set size on a stack; a failed check names the
+    keep-set's row, and in a stack of samples numbered from ``first`` its
+    sample.
     """
     rho = dict(zip(keeps, _s._reductions(amps, n, keeps)))
-    names = {kept: _row_name(kept, n) for kept in keeps}
     corr, value = {}, {}
     for size in (1, 2):
         group = [kept for kept in keeps if len(kept) == size]
-        wanted = [kept for kept in group if names[kept] in rows]
         if group:
+            names = [_row_name(kept, n) for kept in group]
             stack = np.stack([rho[kept] for kept in group], axis=-3)
-            _s._check_density(stack, first, [names[kept] for kept in group])
-        if wanted:
-            if wanted != group:
-                stack = np.stack([rho[kept] for kept in wanted], axis=-3)
+            _s._check_density(stack, first, names)
             # One vector-matrix product per reduction: one matmul over all of them
             # rounds differently when it has one row, so values would depend on stacking.
             t = (stack.reshape(*stack.shape[:-2], 1, -1) @ _PAULI_ROWS[size].T)[..., 0, :]
             corr[size] = t = _s._real(t, f"{size}-point correlators",
-                                      _p.HERMITIAN_RESIDUE_TOL, first,
-                                      [names[kept] for kept in wanted])
-            value.update(zip(wanted, np.moveaxis(1.0 - np.sum(t ** 2, axis=-1), -1, 0)))
+                                      _p.HERMITIAN_RESIDUE_TOL, first, names)
+            value.update(zip(group, np.moveaxis(1.0 - np.sum(t ** 2, axis=-1), -1, 0)))
     return _Checked(rho, corr, value)
 
 
 def _purity(amps: np.ndarray, n: int, qubit: int, checked: _Checked,
-            first: int | None) -> np.ndarray:
+            first: int) -> np.ndarray:
     """tr(rho^2) of one qubit, checked against its Pauli-expectation form."""
     via_purity = _s._trace_power(checked.rho[(qubit,)], 2)
     via_pauli = 0.5 * (1.0 + np.sum(_one_point(amps, n, qubit) ** 2, axis=-1))
@@ -359,7 +361,7 @@ def _purity(amps: np.ndarray, n: int, qubit: int, checked: _Checked,
 
 
 def _cubic(amps: np.ndarray, n: int, checked: _Checked,
-           first: int | None) -> tuple[np.ndarray, np.ndarray]:
+           first: int) -> tuple[np.ndarray, np.ndarray]:
     """``cubic_invariant`` by its density and Pauli routes, checked to agree."""
     rho_a, rho_b, rho_ab = checked.rho[(1,)], checked.rho[(2,)], checked.rho[(1, 2)]
     via_density = (3.0 * _s._cross_term(rho_a, rho_b, rho_ab)
@@ -369,7 +371,7 @@ def _cubic(amps: np.ndarray, n: int, checked: _Checked,
     return via_density, via_pauli
 
 
-def _checked_tangle(amps: np.ndarray, first: int | None) -> np.ndarray:
+def _checked_tangle(amps: np.ndarray, first: int) -> np.ndarray:
     """``three_tangle``, checked against |pair_tangle(AB)| = |odd_tangle| to 1e-9."""
     poly = _tangle(amps)
     bilinear = np.abs(_odd_tangle(amps, 3))
@@ -384,8 +386,8 @@ class Invariant(NamedTuple):
     kind: str  # "real": first kind, LU-invariant; "complex": second kind, SLOCC
     degree: int  # polynomial degree in the amplitudes
     reference: Callable[[PureState], float | complex]  # per-operation route
-    # (amplitudes (..., 2**n), checked pass, first sample or None) -> values
-    batched: Callable[[np.ndarray, _Checked, int | None], np.ndarray]
+    # (amplitudes (..., 2**n), checked pass, first sample) -> values
+    batched: Callable[[np.ndarray, _Checked, int], np.ndarray]
     kept: tuple[tuple[int, ...], ...] = ()  # the keep-sets whose reductions it reads
     # Report tolerances of the dual-route checks ``batched`` runs.
     tolerances: tuple[tuple[str, float], ...] = ()
@@ -408,9 +410,7 @@ def invariant_table(n: int) -> dict[str, Invariant]:
     One checked reduction pass serves every row of a stack: I_2..I_5 read
     their rhos off it, I_{i} and I_{ij} the values of their correlators. C, Z
     and I_6's cross-check come from the spin-flip contraction
-    ``pauli._flip_gram``; no row applies an operator. References call their
-    function through this module's globals at call time, so a wrapper on the
-    module sees the call.
+    ``pauli._flip_gram``; no row applies an operator.
     """
     table: dict[str, Invariant] = {}
     if n == 3:
@@ -423,10 +423,10 @@ def invariant_table(n: int) -> dict[str, Invariant]:
                 "real", 4, lambda s, q=q: purity(partial_trace(s, {q})),
                 lambda a, checked, first, q=q: _purity(a, 3, q, checked, first),
                 ((q,),), _INTERNAL)
-        table["I_5"] = Invariant("real", 6, lambda s: cubic_invariant(s),
+        table["I_5"] = Invariant("real", 6, cubic_invariant,
                                  lambda a, checked, first: _cubic(a, 3, checked, first)[0],
                                  ((1,), (2,), (1, 2)), _INTERNAL)
-        table["I_6"] = Invariant("real", 4, lambda s: three_tangle(s),
+        table["I_6"] = Invariant("real", 4, three_tangle,
                                  lambda a, checked, first: _checked_tangle(a, first),
                                  tolerances=(("tangle_agreement", TANGLE_TOL),))
     for kept in _keep_sets(n):
@@ -437,20 +437,20 @@ def invariant_table(n: int) -> dict[str, Invariant]:
             lambda a, checked, first, k=kept: checked.value[k],
             (kept,))
     if n % 2 == 0:
-        table["C"] = Invariant("complex", 2, lambda s: concurrence(s),
+        table["C"] = Invariant("complex", 2, concurrence,
                                lambda a, checked, first: _concurrence(a, n))
     else:
-        table["Z"] = Invariant("complex", 4, lambda s: odd_tangle(s),
+        table["Z"] = Invariant("complex", 4, odd_tangle,
                                lambda a, checked, first: _odd_tangle(a, n))
     return table
 
 
 def _evaluate(amps: np.ndarray, n: int, rows: dict[str, Invariant],
-              first: int | None) -> dict[str, np.ndarray]:
+              first: int) -> dict[str, np.ndarray]:
     """Values of table ``rows`` per vector of ``amps`` (..., 2**n), by name:
     every row reads one ``_correlations`` pass over all the rows' keep-sets."""
     keeps = list(dict.fromkeys(k for row in rows.values() for k in row.kept))
-    checked = _correlations(amps, n, keeps, rows, first)
+    checked = _correlations(amps, n, keeps, first)
     return {name: row.batched(amps, checked, first) for name, row in rows.items()}
 
 
@@ -492,7 +492,7 @@ def _report(state: PureState, rows: dict[str, Invariant],
     """Report of table ``rows`` on ``state`` from one ``_evaluate`` call, with
     ``tolerances`` then the rows' own, and the state's digest as metadata."""
     _check_normalized(state)
-    values = _evaluate(state.amplitudes, state.n_qubits, rows, None)
+    values = _evaluate(state.amplitudes, state.n_qubits, rows, 0)
     return InvariantReport(
         state.n_qubits,
         {name: ReportEntry(values[name].item(), row.kind) for name, row in rows.items()},
@@ -517,8 +517,7 @@ def first_kind_fingerprint(state: PureState) -> tuple[np.ndarray, np.ndarray]:
     """
     _check_normalized(state)
     n = state.n_qubits
-    keeps = _keep_sets(n)
-    corr = _correlations(state.amplitudes, n, keeps, {_row_name(k, n) for k in keeps}).corr
+    corr = _correlations(state.amplitudes, n, _keep_sets(n)).corr
     pairs = np.full((n, n, 3, 3), np.nan, dtype=np.float64)
     if n > 1:
         pairs[np.triu_indices(n, 1)] = corr[2].reshape(-1, 3, 3)

@@ -40,6 +40,7 @@ from .errors import (
     ConditioningFailureError,
     InvariantNotApplicableError,
     LengthMismatchError,
+    NonFiniteError,
     NotUnitaryError,
     UnnormalizedError,
 )
@@ -75,11 +76,12 @@ def _cond2(m: np.ndarray) -> np.ndarray:
     With F the Frobenius norm, the singular values satisfy s1^2 + s2^2 = F^2
     and s1 s2 = |det|, so cond = s1 / s2 = s1^2 / |det| with
     s1^2 = (F^2 + sqrt(F^4 - 4 |det|^2)) / 2. Singular matrices give inf and
-    non-finite ones NaN; callers compare with ``<=`` so both are rejected.
+    non-finite ones NaN, as do entries whose squares overflow; callers
+    compare with ``<=`` so all of them are rejected.
     """
-    fro2 = np.sum(np.abs(m) ** 2, axis=(-2, -1))
-    adet = np.abs(_det2(m))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fro2 = np.sum(np.abs(m) ** 2, axis=(-2, -1))
+        adet = np.abs(_det2(m))
         s1sq = 0.5 * (fro2 + np.sqrt(np.maximum(fro2 * fro2 - 4.0 * adet * adet, 0.0)))
         return s1sq / adet
 
@@ -90,14 +92,15 @@ def _expm_traceless(m: np.ndarray) -> np.ndarray:
     M^2 = d^2 I with d^2 = m00^2 + m01 m10, so exp(M) = cosh(d) I + sinh(d)/d M.
     Both coefficients are even in d, so the branch of the square root does not
     matter; near d = 0 (including nilpotent M) they come from their series.
+    A large d overflows to inf or NaN; ``_draw_sl`` silences that and rejects
+    the draw.
     """
     d2 = m[:, 0, 0] ** 2 + m[:, 0, 1] * m[:, 1, 0]
     small = np.abs(d2) < _EXPM_SERIES_CUTOFF
     d = np.sqrt(np.where(small, 1.0, d2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = np.where(small, 1.0 + d2 / 2.0, np.cosh(d))
-        s = np.where(small, 1.0 + d2 / 6.0, np.sinh(d) / d)
-        out = s[:, None, None] * m
+    c = np.where(small, 1.0 + d2 / 2.0, np.cosh(d))
+    s = np.where(small, 1.0 + d2 / 6.0, np.sinh(d) / d)
+    out = s[:, None, None] * m
     out[:, 0, 0] += c
     out[:, 1, 1] += c
     return out
@@ -120,7 +123,8 @@ def _check_ops(stack: np.ndarray, kind: str, first: int = 0) -> None:
             raise NotUnitaryError(
                 f"{at}operator {idx[-1] + 1} is not unitary within {_UNIT_TOL:g}")
         return
-    det = _det2(stack)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test
+        det = _det2(stack)
     bad_det = ~(np.abs(det - 1.0) <= _UNIT_TOL)
     bad = bad_det | ~(_cond2(stack) <= _SL_CONDITION_CAP)
     if bad.any():
@@ -252,8 +256,9 @@ def _draw_sl(rngs: Iterable[np.random.Generator], n: int, spread: float,
 
     An attempt draws, from each sample's generator, that sample's
     still-pending qubits in increasing order, then builds and tests every
-    drawn row of every sample at once. A campaign passes the number of its
-    first sample as ``first``, for the error message.
+    drawn row of every sample at once; a draw that overflows is rejected as
+    ill-conditioned, without a numpy warning. A campaign passes the number
+    of its first sample as ``first``, for the error message.
     """
     rngs = list(rngs)
     ops = np.empty((len(rngs) * n, 2, 2), dtype=np.complex128)
@@ -264,14 +269,14 @@ def _draw_sl(rngs: Iterable[np.random.Generator], n: int, spread: float,
         counts = np.bincount(pending // n, minlength=len(rngs))
         z = np.concatenate([rngs[b].standard_normal((counts[b], 2, 2, 2))
                             for b in np.flatnonzero(counts)])
-        m = spread * (z[:, 0] + 1j * z[:, 1])
-        half_trace = 0.5 * (m[:, 0, 0] + m[:, 1, 1])
-        m[:, 0, 0] -= half_trace
-        m[:, 1, 1] -= half_trace
-        g = _expm_traceless(m)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            m = spread * (z[:, 0] + 1j * z[:, 1])
+            half_trace = 0.5 * (m[:, 0, 0] + m[:, 1, 1])
+            m[:, 0, 0] -= half_trace
+            m[:, 1, 1] -= half_trace
+            g = _expm_traceless(m)
             g /= np.sqrt(_det2(g))[:, None, None]
-        ok = _cond2(g) <= _SL_CONDITION_CAP
+            ok = _cond2(g) <= _SL_CONDITION_CAP
         ops[pending[ok]] = g[ok]
         pending = pending[~ok]
         if pending.size == 0:
@@ -481,15 +486,17 @@ def verify_invariance(state: PureState, invariant: str, group: str,
     orbits test only the complex rows, on the raw images, by the relative
     deviation: divided by |base|, or by ``raw_norm ** degree`` when |base| is
     at most 2**-26 times that (too small for float64 to resolve a relative
-    change of 1e-7). The base comes from the row's per-operation reference,
-    the images' values from its batched evaluator: two routes for I_{i} and
-    I_{ij} (a strided contraction against reduced density matrices) and for C
-    and Z (the operator kernel against one spin-flip contraction), so their
-    disagreement shows as a deviation. ``tol`` must be a finite real > 0,
-    ``samples`` a positive and ``seed`` a non-negative integer. Sample k's
-    operator, whatever the row, is ``random_lu`` (without phases) or
-    ``random_sl`` at the sub-seed ``SeedSequence((seed, k)).generate_state(1)[0]``;
-    ``worst_sample`` names the k to replay.
+    change of 1e-7); an image whose ``raw_norm ** degree`` overflows float64
+    raises NonFiniteError naming its sample. The base comes from the row's
+    per-operation reference, the images' values from its batched evaluator:
+    two routes for I_{i} and I_{ij} (a strided contraction against reduced
+    density matrices) and for C and Z (the operator kernel against one
+    spin-flip contraction), so their disagreement shows as a deviation.
+    ``tol`` must be a finite real > 0, ``samples`` a positive and ``seed`` a
+    non-negative integer. Sample k's operator, whatever the row, is
+    ``random_lu`` (without phases) or ``random_sl`` at the sub-seed
+    ``SeedSequence((seed, k)).generate_state(1)[0]``; ``worst_sample`` names
+    the k to replay.
     """
     return _campaign(state, [invariant], group, samples, tol, seed)[0]
 
@@ -524,6 +531,7 @@ def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
             )
         rows[name] = row
     base = {name: complex(row.reference(state)) for name, row in rows.items()}
+    degree = max(row.degree for row in rows.values())
     max_abs = dict.fromkeys(names, 0.0)
     max_rel = dict.fromkeys(names, 0.0)
     verdict_max = max_rel if group == SL_KIND else max_abs
@@ -539,6 +547,13 @@ def _campaign(state: PureState, names: Sequence[str], group: str, samples: int,
             _check_ops(ops, group, start)
             images, nsq = _images(state.amplitudes, n, ops, group, start)
             raw_norm = np.sqrt(nsq)
+            # Every row's power is finite if the highest degree's is.
+            with np.errstate(over="ignore"):
+                bad = ~np.isfinite(raw_norm ** degree)
+            if bad.any():
+                idx, at = _s._failing(bad, first=start)
+                raise NonFiniteError(f"{at}image norm {float(raw_norm[idx])!r} to the "
+                                     f"power {degree} overflows float64")
             for name, values in _inv._evaluate(images, n, rows, start).items():
                 dev, base_mag = np.abs(values - base[name]), abs(base[name])
                 unit = raw_norm ** rows[name].degree

@@ -9,6 +9,7 @@ cross-checking).
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import (
     InternalDisagreementError,
     LengthMismatchError,
+    NonFiniteError,
     NotUnitaryError,
 )
 from .state import NORM_SQ_TOL, PureState, _qubit, _real, _vdots
@@ -258,10 +260,16 @@ def bilinear(state: PureState, ops: Sequence[np.ndarray]) -> complex:
 
     M is the tensor product of the per-qubit operators. Unlike ``expectation``
     this is not sesquilinear: both slots carry the conjugated amplitudes, so
-    the value is symmetric under transposing M and is complex in general.
+    the value is symmetric under transposing M and is complex in general. A
+    value that overflows float64 raises NonFiniteError.
     """
     n = state.n_qubits
-    return complex(_bilinears(state.amplitudes, n, _factors(ops, n)))
+    factors = _factors(ops, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(_bilinears(state.amplitudes, n, factors))
+    if not cmath.isfinite(value):
+        raise NonFiniteError("bilinear form overflows float64")
+    return value
 
 
 def adjoint_rotation(u: np.ndarray) -> np.ndarray:
@@ -273,7 +281,9 @@ def adjoint_rotation(u: np.ndarray) -> np.ndarray:
     adjoint_rotation(u @ v) == adjoint_rotation(u) @ adjoint_rotation(v).
     """
     m = _as_2x2(u)
-    if np.max(np.abs(m.conj().T @ m - PAULI_I)) > UNITARY_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test
+        gram = m.conj().T @ m
+    if not np.max(np.abs(gram - PAULI_I)) <= UNITARY_TOL:
         raise NotUnitaryError("matrix is not unitary within 1e-10")
     adj = m.conj().T @ _SIGMAS @ m
     out = _real(0.5 * np.einsum("xij,yji->xy", adj, _SIGMAS), "rotation",

@@ -172,18 +172,18 @@ def _positive(x, name: str) -> float:
     return v
 
 
-def _failing(bad: np.ndarray, core: int = 0, first: int | None = 0,
+def _failing(bad: np.ndarray, core: int = 0, first: int = 0,
              rows: Sequence[str] | None = None) -> tuple[tuple[int, ...], str]:
     """Index of the first failing entry of a check, and a message prefix.
 
     ``bad`` holds one flag per checked item; ``rows`` names the entries of
     the axis before its last ``core`` ones. An axis left before those stacks
-    samples numbered from ``first`` unless that is None. The prefix names the
-    failing sample and row.
+    samples numbered from ``first``. The prefix names the failing sample and
+    row.
     """
     idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
     lead = bad.ndim - core - (rows is not None)
-    at = f"sample {first + idx[0]}: " if first is not None and lead > 0 else ""
+    at = f"sample {first + idx[0]}: " if lead > 0 else ""
     return idx, at if rows is None else f"{at}{rows[idx[lead]]}: "
 
 
@@ -214,12 +214,12 @@ def _check_norms(nsq, normalized: bool, first: int = 0) -> None:
                                 f"from 1 by more than {NORM_SQ_TOL}")
 
 
-def _check_density(m: np.ndarray, first: int | None = 0,
+def _check_density(m: np.ndarray, first: int = 0,
                    rows: Sequence[str] | None = None) -> None:
     """Hermitian, unit-trace and PSD checks on one density matrix or a stack
-    (..., side, side) whose leading axis numbers samples from ``first`` (None:
-    not a stack of samples) and whose axis before the matrices is named by
-    ``rows`` if given; each is written so that NaN fails it.
+    (..., side, side) whose leading axis numbers samples from ``first`` and
+    whose axis before the matrices is named by ``rows`` if given; each is
+    written so that NaN fails it.
 
     The PSD check first tries a certificate: if every Hermitized matrix plus
     EIGENVALUE_TOL / 2 times the identity has a Cholesky factor, every lowest
@@ -416,7 +416,7 @@ def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(tuple(kept), _reduced(state.amplitudes, n, kept))
 
 
-def _real(t, what: str, tol: float = HERMITIAN_TOL, first: int | None = None,
+def _real(t, what: str, tol: float = HERMITIAN_TOL, first: int = 0,
           rows: Sequence[str] | None = None):
     """Real part of a value that must be real, as a scalar or an array.
 

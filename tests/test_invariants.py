@@ -4,6 +4,7 @@ import pytest
 from qinv import (
     EvenQubitCountError,
     IndexOutOfRangeError,
+    NonFiniteError,
     OddQubitCountError,
     PureState,
     SameIndexError,
@@ -192,6 +193,12 @@ def test_odd_tangle_examples(ghz3, w3, zero3):
 def test_odd_tangle_parity(bell):
     with pytest.raises(EvenQubitCountError):
         odd_tangle(bell)
+
+
+def test_odd_tangle_refuses_a_value_that_overflows():
+    s = PureState(3, random_state(3, 1).amplitudes * 1e80, is_normalized=False)
+    with pytest.raises(NonFiniteError, match=r"^odd_tangle overflows float64$"):
+        odd_tangle(s)
 
 
 def test_odd_tangle_single_qubit_vanishes():
@@ -569,6 +576,32 @@ def test_n3_rows_share_one_checked_reduction_pass(monkeypatch):
         6, [(100, 3, 2, 2), (100, 3, 4, 4)])
     assert counts(lambda: _inv._evaluate(images, 3, {"I_5": table["I_5"]}, 0)) == (
         3, [(100, 2, 2, 2), (100, 1, 4, 4)])
+
+
+@pytest.mark.parametrize("n", [3, 12])
+@pytest.mark.parametrize("samples", [None, 3])
+def test_every_keep_set_gets_its_correlators_and_value(n, samples):
+    # A pass over any keep-sets, in any order, gives each of them the
+    # correlators and value of a pass over all of them, bit for bit.
+    state = random_state(n, 83)
+    amps = state.amplitudes
+    if samples is not None:
+        ops = _orbit._lu_from_words(_orbit._seed_words(0, 0, samples), n)
+        amps, _ = _orbit._images(amps, n, ops, "LU")
+    every = _inv._keep_sets(n)
+    full = _inv._correlations(amps, n, every)
+    for keeps in ([(2,)], [(1, n)], [(n,), (1, 2), (2,)], every[::-1]):
+        part = _inv._correlations(amps, n, keeps)
+        assert set(part.value) == set(keeps)
+        for size in (1, 2):
+            group = [kept for kept in keeps if len(kept) == size]
+            at = [every.index(kept) - (size - 1) * n for kept in group]
+            if group:
+                assert np.array_equal(part.corr[size], full.corr[size][..., at, :])
+            else:
+                assert size not in part.corr
+        for kept in keeps:
+            assert np.array_equal(part.value[kept], full.value[kept])
 
 
 # ------------------------------------------------- independence of I_1..I_6

@@ -184,6 +184,14 @@ def test_random_sl_rejects_bad_spread():
         random_sl(1, 0, spread=0.0)
 
 
+def test_random_sl_overflowing_draws_fail_without_a_numpy_warning():
+    # At spread 1e3 cosh and sinh overflow on every draw; each is rejected as
+    # ill-conditioned, and no RuntimeWarning comes before the documented error.
+    with pytest.raises(qinv.ConditioningFailureError,
+                       match=r"^no acceptable operator for qubit 1 after 1000 draws$"):
+        random_sl(2, 0, spread=1e3)
+
+
 # ------------------------------------------------------------ LocalOperator
 
 def test_local_operator_validates_lu_kind():
@@ -196,6 +204,16 @@ def test_local_operator_validates_sl_kind():
         LocalOperator((2.0 * np.eye(2),), "SL")
     with pytest.raises(ValueError):
         LocalOperator((np.eye(2),), "XX")
+
+
+def test_sl_factor_whose_norm_overflows_fails_its_condition_check():
+    # Determinant 1, but the squared Frobenius norm overflows: the closed-form
+    # condition number is inf, with no RuntimeWarning first. So is an
+    # overflowing determinant.
+    with pytest.raises(ValueError, match=r"^operator 1 exceeds condition number 10.0$"):
+        LocalOperator((np.diag([1e160, 1e-160]),), "SL")
+    with pytest.raises(ValueError, match=r"^operator 1 has determinant \(inf\+0j\), expected 1$"):
+        LocalOperator((np.diag([1e200, 1e200]),), "SL")
 
 
 def test_local_operator_rejects_non_finite_factor():
@@ -807,14 +825,41 @@ def test_suite_row_density_check_names_the_keep_sets_row(monkeypatch, name):
         verify_invariance(random_state(3, 92), name, "LU", 10, 1e-9, 0)
 
 
+def test_sl_campaign_refuses_an_image_scale_that_overflows(monkeypatch):
+    # Every image's Z is doubled. At 1e76 the relative deviation shows it; at
+    # 1e77 raw_norm ** 4 overflows, and dividing by inf would pass any value.
+    odd_tangle = _inv._odd_tangle
+    monkeypatch.setattr(_inv, "_odd_tangle", lambda amps, n: 2.0 * odd_tangle(amps, n))
+    amps = random_state(3, 1).amplitudes
+    below = qinv.PureState(3, amps * 1e76, is_normalized=False)
+    report = verify_invariance(below, "Z", "SL", 5, 1e-7, 0)
+    assert not report.passed and report.max_rel_deviation == pytest.approx(1.0)
+    over = qinv.PureState(3, amps * 1e77, is_normalized=False)
+    with pytest.raises(qinv.NonFiniteError,
+                       match=r"^sample 0: image norm \S+ to the power 4 overflows float64$"):
+        verify_invariance(over, "Z", "SL", 5, 1e-7, 0)
+
+
+def test_sl_campaign_refuses_a_base_that_overflows():
+    # At 1e80 the base odd_tangle overflows, so no deviation can be measured.
+    s = qinv.PureState(3, random_state(3, 1).amplitudes * 1e80, is_normalized=False)
+    with pytest.raises(qinv.NonFiniteError, match=r"^odd_tangle overflows float64$"):
+        verify_invariance(s, "Z", "SL", 5, 1e-7, 0)
+
+
 def test_stacked_residue_check_names_the_row_and_sample(monkeypatch):
     rows = dict(_inv._PAULI_ROWS)
     rows[2] = rows[2] * (1.0 + 1e-6j)
     monkeypatch.setattr(_inv, "_PAULI_ROWS", rows)
+    names = applicable_invariants(3, "LU")
+    # I_5's reference pass reads the correlators of rho_12 too, and is one vector.
+    with pytest.raises(qinv.HermitianViolationError,
+                       match=r"^I_\{12\}: 2-point correlators has imaginary"):
+        _orbit._campaign(random_state(3, 93), names, "LU", 10, 1e-9, 0)
+    names.remove("I_5")
     with pytest.raises(qinv.HermitianViolationError,
                        match=r"^sample 0: I_\{12\}: 2-point correlators has imaginary"):
-        _orbit._campaign(random_state(3, 93), applicable_invariants(3, "LU"),
-                         "LU", 10, 1e-9, 0)
+        _orbit._campaign(random_state(3, 93), names, "LU", 10, 1e-9, 0)
 
 
 # ------------------------------------------------------------ campaign seeding

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from qinv import (
     IndexOutOfRangeError,
     LengthMismatchError,
+    NonFiniteError,
     NotUnitaryError,
     PAULI_I,
     PAULI_X,
@@ -188,6 +189,11 @@ def test_bilinear_length_mismatch(bell):
         bilinear(bell, (SPIN_FLIP,))
 
 
+def test_bilinear_refuses_a_value_that_overflows():
+    with pytest.raises(NonFiniteError, match=r"^bilinear form overflows float64$"):
+        bilinear(random_state(2, 1), [np.diag([1e200, 1.0])] * 2)
+
+
 # ------------------------------------------------------- operator kernel
 
 def _unitaries(rng, *shape):
@@ -347,3 +353,8 @@ def test_adjoint_so3_for_sampled_unitaries():
 def test_adjoint_rejects_non_unitary():
     with pytest.raises(NotUnitaryError):
         adjoint_rotation(np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+
+def test_adjoint_rejects_a_matrix_whose_gram_overflows():
+    with pytest.raises(NotUnitaryError, match=r"^matrix is not unitary within 1e-10$"):
+        adjoint_rotation(np.diag([1e160, 1e-160]))
